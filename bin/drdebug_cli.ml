@@ -238,7 +238,7 @@ let run_slice workload source seed input stats trace_out report_out
            same refined CFG the collector used *)
         let rx =
           match driver with
-          | `Reexec ->
+          | `Reexec () ->
             Some
               (Dr_slicing.Reexec.create ~cfg:c.Dr_slicing.Collector.cfg
                  ~ckpt_interval prog pb)
@@ -248,7 +248,7 @@ let run_slice workload source seed input stats trace_out report_out
           match budget with
           | None -> (
             match driver with
-            | `Reexec ->
+            | `Reexec () ->
               let rx = Option.get rx in
               let s =
                 Dr_slicing.Slicer.compute ~pairs ~driver:(`Reexec rx) gt
@@ -287,7 +287,7 @@ let run_slice workload source seed input stats trace_out report_out
                 gt criterion
             in
             Printf.printf "governed slicing: %s driver\n"
-              (Dr_slicing.Slicer.rung_name g.Dr_slicing.Slicer.g_rung);
+              (Dr_slicing.Slicer.driver_name g.Dr_slicing.Slicer.g_driver);
             g.Dr_slicing.Slicer.g_slice
         in
         let st = slice.Dr_slicing.Slicer.stats in
@@ -713,8 +713,9 @@ let slice_cmd =
     Arg.(value
          & opt
              (enum
-                [ ("indexed", `Indexed); ("scan", `Scan_skip);
-                  ("scan-noskip", `Scan); ("reexec", `Reexec) ])
+                (List.map
+                   (fun d -> (Dr_slicing.Slicer.driver_name d, d))
+                   [ `Indexed; `Scan_skip; `Scan; `Reexec () ]))
              `Indexed
          & info [ "driver" ]
              ~doc:"Slicer driver: $(b,indexed) (definition-index fast path, default), $(b,scan) (backwards scan with LP block skipping), $(b,scan-noskip) (plain backwards scan), or $(b,reexec) (on-demand re-execution: record lookups replay from periodic checkpoints instead of walking the stored trace). All drivers produce identical slices.")

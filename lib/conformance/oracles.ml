@@ -1,7 +1,7 @@
 (** The seven pipeline oracles of the conformance subsystem.
 
     One fuzz case drives the whole DrDebug pipeline —
-    log -> pinball save/load -> replay -> trace -> slice (three drivers)
+    log -> pinball save/load -> replay -> trace -> slice (four drivers)
     -> exclusion build -> relog -> slice replay — and checks an oracle at
     every seam:
 
@@ -11,9 +11,9 @@
        retired instruction, the same step count and the same output;}
     {- {e pinball roundtrip}: encode -> decode -> encode is byte-for-byte
        stable and the container passes integrity verification;}
-    {- {e driver agreement}: the indexed, LP-scan and plain-scan slicers
-       produce identical positions and (canonicalized) edges on several
-       criteria;}
+    {- {e driver agreement}: the indexed, LP-scan, plain-scan and
+       re-execution slicers produce identical positions and
+       (canonicalized) edges on several criteria;}
     {- {e slice soundness}: (a) slice replay with injected side effects
        reproduces the original r0 value at every slice statement and the
        original output subsequence; (b) a forward {e re-execution} of the
@@ -157,31 +157,27 @@ let slice_signature (s : Slicer.t) =
          (fun e -> (e.Slicer.from_pos, e.Slicer.to_pos, e.Slicer.kind))
          (Array.to_list s.Slicer.edges)) )
 
-(* Five drivers: indexed, scan+LP-skip, plain scan, scan with the
-   static pre-filter, and on-demand re-execution (record lookups
-   replayed from checkpoints — no stored-record walk).  Returns the
-   indexed slice so the caller can reuse it. *)
-let check_agreement gt ~lp ~pairs ~sf ~rx crit =
-  let a = Slicer.compute ~lp ~pairs ~indexed:true gt crit in
-  let b = Slicer.compute ~lp ~pairs ~indexed:false ~block_skipping:true gt crit in
-  let c = Slicer.compute ~lp ~pairs ~indexed:false ~block_skipping:false gt crit in
-  let d =
-    Slicer.compute ~lp ~pairs ~indexed:false ~block_skipping:true
-      ~static_filter:sf gt crit
+(* Four drivers: indexed, scan+LP-skip, plain scan, and on-demand
+   re-execution (record lookups replayed from checkpoints — no
+   stored-record walk).  Returns the indexed slice so the caller can
+   reuse it. *)
+let check_agreement gt ~lp ~pairs ~rx crit =
+  let slices =
+    List.map
+      (fun driver -> (driver, Slicer.compute ~lp ~pairs ~driver gt crit))
+      [ `Indexed; `Scan_skip; `Scan; `Reexec rx ]
   in
-  let e = Slicer.compute ~lp ~pairs ~driver:(`Reexec rx) gt crit in
-  let sa = slice_signature a
-  and sb = slice_signature b
-  and sc = slice_signature c
-  and sd = slice_signature d
-  and se = slice_signature e in
-  if sa <> sb || sb <> sc || sc <> sd || sd <> se then
-    fail Driver_agreement
-      "drivers disagree at crit_pos %d: indexed %d, scan+skip %d, scan %d, \
-       scan+static %d, reexec %d positions"
-      crit.Slicer.crit_pos (Slicer.size a) (Slicer.size b) (Slicer.size c)
-      (Slicer.size d) (Slicer.size e);
-  a
+  let indexed = snd (List.hd slices) in
+  let reference = slice_signature indexed in
+  if List.exists (fun (_, s) -> slice_signature s <> reference) slices then
+    fail Driver_agreement "drivers disagree at crit_pos %d: %s positions"
+      crit.Slicer.crit_pos
+      (String.concat ", "
+         (List.map
+            (fun (d, s) ->
+              Printf.sprintf "%s %d" (Slicer.driver_name d) (Slicer.size s))
+            slices));
+  indexed
 
 (* ---- oracle 6: static slice as a soundness bound ---- *)
 
@@ -670,21 +666,11 @@ let check_resource ~(rc : resource_config) (c : Collector.result) ~crit_pos
     in
     (budget, store)
   in
-  let slice_sig_of_store ?(driver = `Indexed) store =
+  let pairs = c.Collector.pairs in
+  let slice_sig_of_store ?(run = fun gt -> Slicer.compute ~pairs gt crit) store
+      =
     let gt = Global_trace.construct { c with Collector.records = store } in
-    let s =
-      match driver with
-      | `Indexed -> Slicer.compute ~pairs:c.Collector.pairs ~indexed:true gt crit
-      | `Scan_skip ->
-        Slicer.compute ~pairs:c.Collector.pairs ~indexed:false
-          ~block_skipping:true gt crit
-      | `Scan ->
-        Slicer.compute ~pairs:c.Collector.pairs ~indexed:false
-          ~block_skipping:false gt crit
-      | `Governed budget ->
-        (Slicer.compute_governed ~pairs:c.Collector.pairs ~budget gt crit)
-          .Slicer.g_slice
-    in
+    let s = run gt in
     (slice_signature s, s)
   in
   Fun.protect ~finally:(fun () -> cleanup_spill_dir rc.r_spill_dir)
@@ -696,8 +682,8 @@ let check_resource ~(rc : resource_config) (c : Collector.result) ~crit_pos
     fail Resource_robustness
       "a zero memory budget rebuilt the trace without spilling any segment";
   List.iter
-    (fun (name, driver) ->
-      let sg, s = slice_sig_of_store ~driver store in
+    (fun (name, run) ->
+      let sg, s = slice_sig_of_store ~run store in
       if s.Slicer.stats.Slicer.truncated then
         fail Resource_robustness
           "spilled %s slice marked truncated with no time budget" name;
@@ -706,8 +692,14 @@ let check_resource ~(rc : resource_config) (c : Collector.result) ~crit_pos
           "spilled %s slice differs from the in-memory slice at crit_pos %d \
            (%d vs %d positions)"
           name crit_pos (Slicer.size s) (Slicer.size clean))
-    [ ("indexed", `Indexed); ("scan+skip", `Scan_skip); ("scan", `Scan);
-      ("governed", `Governed budget) ];
+    (List.map
+       (fun driver ->
+         ( Slicer.driver_name driver,
+           fun gt -> Slicer.compute ~pairs ~driver gt crit ))
+       [ `Indexed; `Scan_skip; `Scan ]
+    @ [ ( "governed",
+          fun gt ->
+            (Slicer.compute_governed ~pairs ~budget gt crit).Slicer.g_slice ) ]);
   (* the zero budget must also have forced the governed ladder down *)
   if Dr_util.Budget.degradations budget = [] then
     fail Resource_robustness
@@ -822,16 +814,6 @@ let check ?mutate_slice ?resource ?reexec_clobber (prog : Dr_isa.Program.t)
       let crits = List.sort_uniq compare [ n / 4; n / 2; n - 1; crit_pos ] in
       let slices =
         oracle_span Driver_agreement @@ fun () ->
-        let code = prog.Dr_isa.Program.code in
-        let ncode = Array.length code in
-        let sf =
-          Lp.prepare_static lp gt
-            ~reg_defs:(fun pc ->
-              if pc >= 0 && pc < ncode then Dr_static.Defuse.def_mask code.(pc)
-              else 0)
-            ~writes_mem:(fun pc ->
-              pc >= 0 && pc < ncode && Dr_static.Defuse.writes_mem code.(pc))
-        in
         (* the refined CFG the collector used, so re-derived control
            dependences match the stored records exactly *)
         let rx =
@@ -841,7 +823,7 @@ let check ?mutate_slice ?resource ?reexec_clobber (prog : Dr_isa.Program.t)
         List.map
           (fun p ->
             ( p,
-              check_agreement gt ~lp ~pairs ~sf ~rx
+              check_agreement gt ~lp ~pairs ~rx
                 { Slicer.crit_pos = p; crit_locs = None } ))
           crits
       in
@@ -889,10 +871,7 @@ let check ?mutate_slice ?resource ?reexec_clobber (prog : Dr_isa.Program.t)
          re-execution.  The closure still goes through [mutate_slice],
          so a slicer that drops a real dependence is caught here. *)
       let closure =
-        let s =
-          Slicer.compute ~lp ~indexed:true gt
-            { Slicer.crit_pos; crit_locs = None }
-        in
+        let s = Slicer.compute ~lp gt { Slicer.crit_pos; crit_locs = None } in
         match mutate_slice with None -> s | Some f -> f s
       in
       let in_closure = Dr_util.Bitset.create nrec in

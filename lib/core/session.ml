@@ -226,6 +226,9 @@ let maybe_checkpoint (t : t) (r : Dr_pinplay.Replayer.t) =
   if here - last >= t.checkpoint_interval then
     t.checkpoints <- Dr_pinplay.Replayer.checkpoint r :: t.checkpoints
 
+let divergence_error d =
+  Error ("replay divergence: " ^ Dr_pinplay.Replayer.divergence_message d)
+
 (** Continue replay until a breakpoint, the end of the region, or (with
     [max_steps]) a step count.  Checkpoints for reverse debugging are
     captured at every stop.  Continuing from a breakpoint first steps off
@@ -250,8 +253,7 @@ let continue_replay ?max_steps (t : t) : (stop, string) result =
           match Dr_pinplay.Replayer.resume ~max_steps:1 r with
           | Driver.Max_steps -> Ok None  (* stepped off; keep going *)
           | reason -> Ok (Some reason)
-        with Dr_pinplay.Replayer.Divergence d ->
-          Error ("replay divergence: " ^ Dr_pinplay.Replayer.divergence_message d)
+        with Dr_pinplay.Replayer.Divergence d -> divergence_error d
       end
       else Ok None
     in
@@ -298,8 +300,7 @@ let continue_replay ?max_steps (t : t) : (stop, string) result =
             t.last_stop <- Some stop;
             Ok stop
           | _ -> finish reason
-        with Dr_pinplay.Replayer.Divergence d ->
-          Error ("replay divergence: " ^ Dr_pinplay.Replayer.divergence_message d)))
+        with Dr_pinplay.Replayer.Divergence d -> divergence_error d))
   | _ -> Error "not replaying: use replay first"
 
 let stepi (t : t) n = continue_replay ~max_steps:n t
@@ -341,6 +342,7 @@ let goto_step (t : t) ~target : (stop, string) result =
             Error
               (Format.asprintf "unexpected stop while rewinding: %a"
                  Driver.pp_stop_reason reason)
+          | exception Dr_pinplay.Replayer.Divergence d -> divergence_error d
       in
       match result with
       | Error e -> Error e
@@ -396,10 +398,16 @@ let reverse_continue (t : t) : (stop, string) result =
           | _ -> ())
         | _ -> ()
       in
-      loop ();
-      match !hits with
-      | [] -> Error "no earlier breakpoint hit in this region"
-      | (last, tid, pc) :: _ -> (
+      let scanned =
+        try
+          loop ();
+          Ok !hits
+        with Dr_pinplay.Replayer.Divergence d -> divergence_error d
+      in
+      match scanned with
+      | Error e -> Error e
+      | Ok [] -> Error "no earlier breakpoint hit in this region"
+      | Ok ((last, tid, pc) :: _) -> (
         match goto_step t ~target:last with
         | Error e -> Error e
         | Ok _ ->

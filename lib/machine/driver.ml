@@ -105,18 +105,24 @@ type session = {
   pick : Machine.t -> last:int -> int option;
   scripted : bool;
   mutable last : int;
+  mutable pending : int option;
+      (** the tid picked when a breakpoint stopped the session: it has
+          consumed its schedule slot but not yet stepped, so the next
+          {!resume} steps it before asking the picker again *)
 }
 
 let session ?(nondet : Machine.nondet option) (m : Machine.t) (policy : policy)
     : session =
   let nondet = match nondet with Some f -> f | None -> Machine.native_nondet m in
   let scripted = match policy with Scripted _ -> true | _ -> false in
-  { m; nondet; pick = make_picker policy; scripted; last = 0 }
+  { m; nondet; pick = make_picker policy; scripted; last = 0; pending = None }
 
 (** Run the session until a stop condition.
 
     [break_at] is consulted {e before} executing an instruction
-    (breakpoint semantics); [stop_when] is consulted on the event {e
+    (breakpoint semantics) and a breakpoint stop keeps the picked thread
+    for the next call, so stopping never costs a schedule slot, quantum
+    or PRNG draw; [stop_when] is consulted on the event {e
     after} each retired instruction.  [max_steps] bounds retired
     instructions across all threads.  For scripted policies, scheduling a
     blocked thread or a bad tid raises {!Replay_divergence}: a correct
@@ -133,7 +139,14 @@ let resume ?(hooks = no_hooks) ?(max_steps = max_int)
       result := Some (Terminated (Machine.outcome m))
     else if !steps >= max_steps then result := Some Max_steps
     else
-      match pick m ~last:!last with
+      let next =
+        match s.pending with
+        | Some tid ->
+          s.pending <- None;
+          Some tid
+        | None -> pick m ~last:!last
+      in
+      match next with
       | None ->
         if scripted then result := Some Schedule_end
         else if Machine.all_finished m then
@@ -158,6 +171,7 @@ let resume ?(hooks = no_hooks) ?(max_steps = max_int)
           else begin
             match break_at with
             | Some f when f ~tid ~pc:th.Machine.pc ->
+              s.pending <- Some tid;
               result := Some (Breakpoint { tid; pc = th.Machine.pc })
             | _ ->
               let ev = Machine.step m ~tid ~nondet in

@@ -4,9 +4,10 @@
     registry: the scalar tier ({!Metrics} counters and timers, in
     registration order), the registered {!Histogram}s (bucket counts
     plus p50/p90/p99), and the recorded {!Obs} spans aggregated into
-    {e phases} — per span name: invocation count, total wall time and
+    {e phases} — per span name: invocation count, total wall time,
     duration quantiles (computed through a fresh log-bucketed histogram,
-    so a report never needs the raw span list).
+    so a report never needs the raw span list) and the attributes of the
+    most recent span ([last_attrs], omitted when it has none).
 
     The schema is validated like the BENCH files: [validate] walks the
     parsed document and names the first violated field; the bench
@@ -53,6 +54,9 @@ type phase = {
   mutable ph_count : int;
   mutable ph_total : float;
   ph_hist : Histogram.t;  (** span durations *)
+  mutable ph_last_attrs : (string * Obs.attr) list;
+      (** attributes of the most recent span, e.g. why the slicing
+          governor chose its driver *)
 }
 
 let phases_of_spans (spans : Obs.span array) : phase list =
@@ -66,7 +70,8 @@ let phases_of_spans (spans : Obs.span array) : phase list =
         | None ->
           let p =
             { ph_name = s.Obs.sp_name; ph_cat = s.Obs.sp_cat; ph_count = 0;
-              ph_total = 0.0; ph_hist = Histogram.create s.Obs.sp_name }
+              ph_total = 0.0; ph_hist = Histogram.create s.Obs.sp_name;
+              ph_last_attrs = [] }
           in
           Hashtbl.replace tbl s.Obs.sp_name p;
           order := p :: !order;
@@ -74,20 +79,31 @@ let phases_of_spans (spans : Obs.span array) : phase list =
       in
       p.ph_count <- p.ph_count + 1;
       p.ph_total <- p.ph_total +. s.Obs.sp_dur_s;
+      p.ph_last_attrs <- s.Obs.sp_attrs;
       Histogram.record p.ph_hist s.Obs.sp_dur_s)
     spans;
   List.rev !order
 
 let phase_json (p : phase) : J.t =
+  let last_attrs =
+    if p.ph_last_attrs = [] then []
+    else
+      [ ( "last_attrs",
+          J.Obj
+            (List.map
+               (fun (k, v) -> (k, Chrome_trace.attr_json v))
+               p.ph_last_attrs) ) ]
+  in
   J.Obj
-    [ ("cat", J.Str p.ph_cat);
-      ("count", J.int p.ph_count);
-      ("total_s", J.Num (finite p.ph_total));
-      ("mean_s", J.Num (finite (Histogram.mean p.ph_hist)));
-      ("p50_s", J.Num (finite (Histogram.quantile p.ph_hist 0.50)));
-      ("p90_s", J.Num (finite (Histogram.quantile p.ph_hist 0.90)));
-      ("p99_s", J.Num (finite (Histogram.quantile p.ph_hist 0.99)));
-      ("max_s", J.Num (finite (Histogram.max_value p.ph_hist))) ]
+    ([ ("cat", J.Str p.ph_cat);
+       ("count", J.int p.ph_count);
+       ("total_s", J.Num (finite p.ph_total));
+       ("mean_s", J.Num (finite (Histogram.mean p.ph_hist)));
+       ("p50_s", J.Num (finite (Histogram.quantile p.ph_hist 0.50)));
+       ("p90_s", J.Num (finite (Histogram.quantile p.ph_hist 0.90)));
+       ("p99_s", J.Num (finite (Histogram.quantile p.ph_hist 0.99)));
+       ("max_s", J.Num (finite (Histogram.max_value p.ph_hist))) ]
+    @ last_attrs)
 
 (** Build the [drdebug-report-v1] document from the current registry
     state. *)

@@ -6,8 +6,8 @@
     of each wanted location) and control dependences (the [cd] pointers,
     transitively).  The default {e indexed} driver jumps between
     candidate positions found by binary search in the {!Def_index}; the
-    {e scan} driver walks every position, skipping blocks via the {!Lp}
-    summaries.  Both produce the same positions and edges (edge array
+    {e scan} drivers walk every position, optionally skipping blocks via
+    the {!Lp} summaries.  All produce the same positions and edges (edge array
     order is unspecified; compare canonically).  With save/restore
     [pairs], wanted registers satisfied by a confirmed restore are
     bypassed: the search resumes below the matching save and a direct
@@ -35,8 +35,6 @@ type criterion = {
 type stats = {
   visited : int;  (** records examined *)
   skipped_blocks : int;
-  static_skipped_blocks : int;
-      (** subset of [skipped_blocks] decided by the static filter alone *)
   total_blocks : int;
   slice_time : float;  (** wall-clock seconds *)
   truncated : bool;
@@ -62,30 +60,30 @@ val size : t -> int
 (** Is the record at this global-trace position in the slice? *)
 val mem : t -> int -> bool
 
+(** The traversal backend.  [`Indexed] (the default) jumps between
+    definition-index candidates, [`Scan_skip] walks every position with
+    LP block skipping, [`Scan] walks every position without skipping,
+    and [`Reexec rx] walks like [`Scan] but answers every record lookup
+    by on-demand re-execution from checkpoints ({!Reexec}) — only the
+    trace's merge order is consulted, never its stored records. *)
+type driver = [ `Indexed | `Scan_skip | `Scan | `Reexec of Reexec.t ]
+
+(** The driver's command-line spelling: [indexed], [scan],
+    [scan-noskip] or [reexec].  Polymorphic in the re-execution payload
+    so a name table can be built before any {!Reexec.t} exists. *)
+val driver_name : [< `Indexed | `Scan_skip | `Scan | `Reexec of _ ] -> string
+
 (** Compute the slice.  [lp]: reuse precomputed block summaries and
     definition index.  [pairs]: enable save/restore bypassing (§5.2).
-    [indexed] (default [true]): use the definition-index fast path;
-    disable to run the backwards scan.  [block_skipping]: LP block
-    skipping for the scan path (ignored when [indexed]); disable to
-    measure the LP optimisation.  [static_filter] (scan path): consult
-    per-block static definition signatures ({!Lp.prepare_static}) before
-    the exact summary check, skipping blocks that statically cannot
-    define any pending use.  The slice is identical on every path.
     [watchdog]: polled wall-clock deadline; on expiry the traversal
-    stops and the result is marked [stats.truncated].  [driver] names
-    the traversal backend explicitly (superseding the
-    [indexed]/[block_skipping] ablation flags); [`Reexec rx] answers
-    every record lookup by on-demand re-execution from checkpoints
-    ({!Reexec}) — only [gt]'s merge order is consulted, never its
-    stored records. *)
+    stops and the result is marked [stats.truncated].  [driver]
+    (default [`Indexed]) picks the traversal.  The slice is identical
+    on every driver. *)
 val compute :
   ?lp:Lp.t ->
   ?pairs:Prune.pairs ->
-  ?block_skipping:bool ->
-  ?indexed:bool ->
-  ?static_filter:Lp.static_filter ->
   ?watchdog:Dr_util.Budget.watchdog ->
-  ?driver:[ `Indexed | `Scan_skip | `Scan | `Reexec of Reexec.t ] ->
+  ?driver:driver ->
   Global_trace.t ->
   criterion ->
   t
@@ -100,7 +98,6 @@ val compute :
 val compute_many :
   ?lp:Lp.t ->
   ?pairs:Prune.pairs ->
-  ?static_filter:Lp.static_filter ->
   ?pool:Dr_util.Pool.t ->
   Global_trace.t ->
   criterion list ->
@@ -108,14 +105,9 @@ val compute_many :
 
 (** {2 Resource-governed slicing} *)
 
-(** The rung of the degradation ladder a governed slice ran on. *)
-type rung = Rung_indexed | Rung_reexec | Rung_scan
-
-val rung_name : rung -> string
-
 type governed = {
   g_slice : t;
-  g_rung : rung;  (** the driver actually used *)
+  g_driver : driver;  (** the driver actually used *)
 }
 
 (** Rough resident bytes {!Lp.prepare} would allocate for this trace —
@@ -123,19 +115,20 @@ type governed = {
 val index_estimate_bytes : Global_trace.t -> int
 
 (** Compute the slice under [budget], degrading instead of dying:
-    indexed driver when the definition index fits the remaining memory
-    budget, scan driver over an {!Lp.prepare_lite} skeleton when it does
-    not, and on either rung a partial slice marked [stats.truncated]
+    [`Indexed] when the definition index fits the remaining memory
+    budget, [`Scan] over an {!Lp.prepare_lite} skeleton when it does
+    not, and on either driver a partial slice marked [stats.truncated]
     when the budget's wall-clock watchdog fires.  Degradations are
-    recorded in the budget and mirrored to metrics.  [lp] skips the
+    recorded in the budget and mirrored to metrics; the
+    [slicer.compute_governed] span records the index estimate, the
+    remaining memory budget and the chosen driver.  [lp] skips the
     memory check (an existing index is already-spent memory).  With
-    [reexec], on-demand re-execution replaces the scan as the
-    over-budget rung: record lookups replay from checkpoints, bounding
-    resident records by the checkpoint interval. *)
+    [reexec], [`Reexec] replaces [`Scan] as the over-budget driver:
+    record lookups replay from checkpoints, bounding resident records
+    by the checkpoint interval. *)
 val compute_governed :
   ?lp:Lp.t ->
   ?pairs:Prune.pairs ->
-  ?static_filter:Lp.static_filter ->
   ?reexec:Reexec.t ->
   budget:Dr_util.Budget.t ->
   Global_trace.t ->

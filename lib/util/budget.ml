@@ -137,6 +137,11 @@ let note_spilled t bytes = t.spilled_bytes <- t.spilled_bytes + bytes
 let over_mem t =
   match t.mem_bytes with None -> false | Some limit -> t.mem_used > limit
 
+(** Bytes left under the memory budget, or [None] when no memory budget
+    is set. *)
+let mem_remaining t =
+  Option.map (fun limit -> max 0 (limit - t.mem_used)) t.mem_bytes
+
 (** Would charging [bytes] more stay within the memory budget? *)
 let mem_would_exceed t ~bytes =
   match t.mem_bytes with

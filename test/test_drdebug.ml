@@ -263,6 +263,128 @@ let test_reverse_continue () =
   let out = exec dbg "continue" in
   Alcotest.(check bool) "forward after reverse" true (contains out "breakpoint")
 
+(* ---- breakpoint stops through the session API ---- *)
+
+let threads_src = {|global int acc;
+fn bump(int v) { acc = acc + v; }
+fn worker(int id) {
+  for (int i = 0; i < 6; i = i + 1) { bump(id + i); }
+}
+fn main() {
+  int a = spawn(worker, 1);
+  int b = spawn(worker, 2);
+  int c = spawn(worker, 3);
+  worker(4);
+  join(a);
+  join(b);
+  join(c);
+  print(acc);
+}|}
+
+let ok what = function
+  | Ok v -> v
+  | Error e -> Alcotest.failf "%s failed: %s" what e
+
+(* a session with a whole-program recording; returns the region length *)
+let recorded_session src =
+  let s = Drdebug.Session.create (compile src) in
+  let st = ok "record" (Drdebug.Session.record s Drdebug.Session.Whole) in
+  (s, st.Dr_pinplay.Logger.region_instructions)
+
+let test_breakpoint_loop_reaches_exit () =
+  let s, total = recorded_session loop_src in
+  ignore (ok "break" (Drdebug.Session.add_breakpoint_line s 4));
+  ok "replay" (Drdebug.Session.start_replay s);
+  let rec go hits =
+    let stop = ok "continue" (Drdebug.Session.continue_replay s) in
+    if stop.Drdebug.Session.stop_reason = "breakpoint" && hits < 100 then
+      go (hits + 1)
+    else (hits, stop)
+  in
+  let hits, stop = go 0 in
+  Alcotest.(check int) "hit once per iteration" 20 hits;
+  Alcotest.(check string) "reached the program's exit" "exited(0)"
+    stop.Drdebug.Session.stop_reason;
+  Alcotest.(check int) "replayed every recorded step" total
+    s.Drdebug.Session.replay_steps
+
+let test_reverse_continue_threads () =
+  let s, total = recorded_session threads_src in
+  let bp = ok "break" (Drdebug.Session.add_breakpoint_func s "bump") in
+  ok "replay" (Drdebug.Session.start_replay s);
+  for _ = 1 to 10 do
+    let stop = ok "continue" (Drdebug.Session.continue_replay s) in
+    Alcotest.(check string) "stopped at bump" "breakpoint"
+      stop.Drdebug.Session.stop_reason
+  done;
+  let last_hit = s.Drdebug.Session.replay_steps in
+  ignore (ok "stepi" (Drdebug.Session.stepi s 3));
+  let here = s.Drdebug.Session.replay_steps in
+  let stop = ok "reverse-continue" (Drdebug.Session.reverse_continue s) in
+  Alcotest.(check int) "stopped at the breakpoint pc" bp.Drdebug.Session.bp_pc
+    stop.Drdebug.Session.stop_pc;
+  Alcotest.(check bool) "before the current step" true
+    (s.Drdebug.Session.replay_steps < here);
+  Alcotest.(check int) "at the most recent hit" last_hit
+    s.Drdebug.Session.replay_steps;
+  (match Drdebug.Session.machine s with
+  | Some m ->
+    Alcotest.(check int) "the stopped thread sits at the breakpoint"
+      bp.Drdebug.Session.bp_pc
+      (Dr_machine.Machine.thread m stop.Drdebug.Session.stop_tid)
+        .Dr_machine.Machine.pc
+  | None -> Alcotest.fail "no machine after reverse-continue");
+  (* forward again, to the end, without the breakpoint *)
+  ignore (Drdebug.Session.delete_breakpoint s bp.Drdebug.Session.bp_id);
+  let stop = ok "continue" (Drdebug.Session.continue_replay s) in
+  Alcotest.(check string) "ran to the exit" "exited(0)"
+    stop.Drdebug.Session.stop_reason;
+  Alcotest.(check int) "every recorded step replayed" total
+    s.Drdebug.Session.replay_steps
+
+(* [sched] with a one-instruction slice of a nonexistent thread spliced
+   in after [step] retired instructions *)
+let splice_bad_tid sched step =
+  let seen = ref 0 in
+  Array.to_list sched
+  |> List.concat_map (fun (tid, n) ->
+         let before = step - !seen in
+         seen := !seen + n;
+         if before >= 0 && before < n then
+           List.filter
+             (fun (_, k) -> k > 0)
+             [ (tid, before); (99, 1); (tid, n - before) ]
+         else [ (tid, n) ])
+  |> Array.of_list
+
+let test_divergence_is_an_error () =
+  let s, total = recorded_session threads_src in
+  let pb = Option.get s.Drdebug.Session.pinball in
+  ok "replay" (Drdebug.Session.start_replay s);
+  let half = total / 2 in
+  ignore
+    (ok "continue" (Drdebug.Session.continue_replay ~max_steps:(half + 50) s));
+  (* the pinball changes under the live session: its schedule now names
+     a nonexistent thread at step [half] *)
+  s.Drdebug.Session.pinball <-
+    Some
+      { pb with
+        Dr_pinplay.Pinball.schedule =
+          splice_bad_tid pb.Dr_pinplay.Pinball.schedule half };
+  s.Drdebug.Session.checkpoints <- [];
+  let is_divergence what = function
+    | Ok _ -> Alcotest.failf "%s succeeded on an altered schedule" what
+    | Error e ->
+      Alcotest.(check bool) (what ^ " reports the divergence") true
+        (contains e "divergence")
+  in
+  is_divergence "goto"
+    (try Drdebug.Session.goto_step s ~target:(half + 10)
+     with e -> Alcotest.failf "goto raised %s" (Printexc.to_string e));
+  is_divergence "reverse-continue"
+    (try Drdebug.Session.reverse_continue s
+     with e -> Alcotest.failf "reverse-continue raised %s" (Printexc.to_string e))
+
 let test_goto_and_checkpoints () =
   let src = {|global int g;
 fn main() {
@@ -465,7 +587,13 @@ let () =
           Alcotest.test_case "reverse-stepi" `Quick test_reverse_stepi;
           Alcotest.test_case "reverse-continue" `Quick test_reverse_continue;
           Alcotest.test_case "goto + checkpoints" `Quick
-            test_goto_and_checkpoints ] );
+            test_goto_and_checkpoints;
+          Alcotest.test_case "breakpoint loop reaches exit" `Quick
+            test_breakpoint_loop_reaches_exit;
+          Alcotest.test_case "reverse-continue over 4 threads" `Quick
+            test_reverse_continue_threads;
+          Alcotest.test_case "divergence is an error" `Quick
+            test_divergence_is_an_error ] );
       ( "robustness",
         [ Alcotest.test_case "error paths" `Quick test_error_paths;
           Alcotest.test_case "precision toggles" `Quick test_precision_toggles;

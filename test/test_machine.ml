@@ -269,6 +269,98 @@ let test_scripted_exact () =
   | _ -> Alcotest.fail "expected schedule end");
   Alcotest.(check int) "2 steps retired" 2 (Dr_machine.Machine.total_icount m)
 
+(* ---- breakpoint stops keep their schedule slot ---- *)
+
+let bp_threads_src = {|global int acc;
+fn bump(int v) { acc = acc + v; }
+fn worker(int id) {
+  for (int i = 0; i < 6; i = i + 1) { bump(id + i); }
+}
+fn main() {
+  int a = spawn(worker, 1);
+  int b = spawn(worker, 2);
+  int c = spawn(worker, 3);
+  worker(4);
+  join(a);
+  join(b);
+  join(c);
+  print(acc);
+}|}
+
+let func_entry prog name =
+  match Dr_isa.Debug_info.func_named prog.Dr_isa.Program.debug name with
+  | Some f -> f.Dr_isa.Debug_info.entry
+  | None -> Alcotest.failf "no function %s" name
+
+(* run [policy] to its end, stopping at every entry of [bump] and
+   stepping off each stop the way a debugger does *)
+let run_with_breaks prog policy =
+  let m = Dr_machine.Machine.create prog in
+  let s = Dr_machine.Driver.session m policy in
+  let bp = func_entry prog "bump" in
+  let hits = ref 0 in
+  let rec go () =
+    match Dr_machine.Driver.resume ~break_at:(fun ~tid:_ ~pc -> pc = bp) s with
+    | Dr_machine.Driver.Breakpoint _ -> (
+      incr hits;
+      match Dr_machine.Driver.resume ~max_steps:1 s with
+      | Dr_machine.Driver.Max_steps -> go ()
+      | r -> r)
+    | r -> r
+  in
+  let r = go () in
+  (m, r, !hits)
+
+let check_breaks_invisible what prog policy =
+  let plain = Dr_machine.Machine.create prog in
+  let r0 = Dr_machine.Driver.run plain policy in
+  let m, r, hits = run_with_breaks prog policy in
+  Alcotest.(check int) (what ^ ": one stop per bump call") 24 hits;
+  Alcotest.(check bool) (what ^ ": same stop reason") true (r = r0);
+  Alcotest.(check int) (what ^ ": same step count")
+    (Dr_machine.Machine.total_icount plain)
+    (Dr_machine.Machine.total_icount m);
+  Alcotest.(check bool) (what ^ ": same machine state") true
+    (Dr_machine.Snapshot.capture m = Dr_machine.Snapshot.capture plain)
+
+(* the retired-instruction schedule of a seeded run, run-length encoded *)
+let schedule_of_seeded prog seed =
+  let m = Dr_machine.Machine.create prog in
+  let tids = ref [] in
+  let hooks =
+    { Dr_machine.Driver.on_event =
+        (fun ev -> tids := ev.Dr_machine.Event.tid :: !tids) }
+  in
+  ignore
+    (Dr_machine.Driver.run ~hooks m
+       (Dr_machine.Driver.Seeded { seed; max_quantum = 5 }));
+  List.fold_left
+    (fun acc tid ->
+      match acc with
+      | (t, n) :: rest when t = tid -> (t, n + 1) :: rest
+      | _ -> (tid, 1) :: acc)
+    [] (List.rev !tids)
+  |> List.rev |> Array.of_list
+
+let test_scripted_breakpoints_keep_slot () =
+  let prog = compile bp_threads_src in
+  let sched = schedule_of_seeded prog 17 in
+  Alcotest.(check bool) "schedule interleaves threads" true
+    (Array.length sched > 4);
+  check_breaks_invisible "scripted" prog (Dr_machine.Driver.Scripted sched)
+
+let test_native_breakpoints_keep_draw () =
+  let prog = compile bp_threads_src in
+  List.iter
+    (fun seed ->
+      check_breaks_invisible
+        (Printf.sprintf "seeded %d" seed)
+        prog
+        (Dr_machine.Driver.Seeded { seed; max_quantum = 5 }))
+    [ 1; 2; 3 ];
+  check_breaks_invisible "round-robin" prog
+    (Dr_machine.Driver.Round_robin { quantum = 3 })
+
 (* ---- snapshots ---- *)
 
 let test_snapshot_roundtrip () =
@@ -880,6 +972,11 @@ let () =
           Alcotest.test_case "scripted divergence" `Quick
             test_scripted_divergence;
           Alcotest.test_case "scripted exact count" `Quick test_scripted_exact ] );
+      ( "breakpoints",
+        [ Alcotest.test_case "scripted stops keep their slot" `Quick
+            test_scripted_breakpoints_keep_slot;
+          Alcotest.test_case "native stops keep their draw" `Quick
+            test_native_breakpoints_keep_draw ] );
       ( "snapshot",
         [ Alcotest.test_case "round-trip" `Quick test_snapshot_roundtrip;
           Alcotest.test_case "divergence after restore" `Quick

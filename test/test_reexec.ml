@@ -230,7 +230,8 @@ let test_governed_degrades_to_reexec () =
   let clean = Slicer.compute ~lp:fx.f_lp fx.f_gt crit in
   let budget = Dr_util.Budget.create ~mem_bytes:0 () in
   let g = Slicer.compute_governed ~reexec:fx.f_rx ~budget fx.f_gt crit in
-  Alcotest.(check string) "rung" "reexec" (Slicer.rung_name g.Slicer.g_rung);
+  Alcotest.(check bool) "reexec driver over the caller's ladder" true
+    (match g.Slicer.g_driver with `Reexec rx -> rx == fx.f_rx | _ -> false);
   Alcotest.(check bool) "degradation recorded" true
     (Dr_util.Budget.degradations budget <> []);
   Alcotest.(check bool) "degraded slice identical" true

@@ -263,7 +263,7 @@ let prop_lp_equals_naive =
       (* tiny blocks stress the skipping logic *)
       let lp = Dr_slicing.Lp.prepare ~block_size:(8 lsl block_exp) gt in
       let reference = naive_slice gt crit in
-      let scan = Dr_slicing.Slicer.compute ~lp ~indexed:false gt crit in
+      let scan = Dr_slicing.Slicer.compute ~lp ~driver:`Scan_skip gt crit in
       let fast = Dr_slicing.Slicer.compute ~lp gt crit in
       Array.to_list scan.Dr_slicing.Slicer.positions = reference
       && Array.to_list fast.Dr_slicing.Slicer.positions = reference)
@@ -282,7 +282,8 @@ fn main() {
   let gt = Dr_slicing.Global_trace.construct c in
   let lp = Dr_slicing.Lp.prepare ~block_size:256 gt in
   let slice =
-    Dr_slicing.Slicer.compute ~lp ~indexed:false gt (assert_criterion prog gt)
+    Dr_slicing.Slicer.compute ~lp ~driver:`Scan_skip gt
+      (assert_criterion prog gt)
   in
   Alcotest.(check bool) "blocks were skipped" true
     (slice.Dr_slicing.Slicer.stats.Dr_slicing.Slicer.skipped_blocks > 0);
@@ -577,7 +578,7 @@ let prop_block_size_irrelevant =
       let s1 =
         Dr_slicing.Slicer.compute
           ~lp:(Dr_slicing.Lp.prepare ~block_size:(1 lsl exp) gt)
-          ~indexed:false gt crit
+          ~driver:`Scan_skip gt crit
       in
       let s2 = Dr_slicing.Slicer.compute gt crit in
       s1.Dr_slicing.Slicer.positions = s2.Dr_slicing.Slicer.positions)
@@ -626,22 +627,29 @@ let canonical_edges (s : Dr_slicing.Slicer.t) =
          (e.Dr_slicing.Slicer.from_pos, e.Dr_slicing.Slicer.to_pos, k, loc))
   |> List.sort compare
 
+(* the drivers that read the stored trace, indexed first *)
+let stored_drivers : Dr_slicing.Slicer.driver list =
+  [ `Indexed; `Scan_skip; `Scan ]
+
+(* slice with every stored-trace driver, checking each against the
+   indexed slice; returns the slices keyed by driver *)
 let check_drivers_agree ?pairs ~lp gt crit =
-  let compute ~indexed ~block_skipping =
-    Dr_slicing.Slicer.compute ~lp ?pairs ~indexed ~block_skipping gt crit
+  let slices =
+    List.map
+      (fun driver ->
+        (driver, Dr_slicing.Slicer.compute ~lp ?pairs ~driver gt crit))
+      stored_drivers
   in
-  let fast = compute ~indexed:true ~block_skipping:true in
-  let skip = compute ~indexed:false ~block_skipping:true in
-  let noskip = compute ~indexed:false ~block_skipping:false in
-  Alcotest.(check bool) "skip/noskip positions identical" true
-    (skip.Dr_slicing.Slicer.positions = noskip.Dr_slicing.Slicer.positions);
-  Alcotest.(check bool) "indexed positions identical" true
-    (fast.Dr_slicing.Slicer.positions = skip.Dr_slicing.Slicer.positions);
-  Alcotest.(check bool) "skip/noskip edges identical" true
-    (canonical_edges skip = canonical_edges noskip);
-  Alcotest.(check bool) "indexed edges identical" true
-    (canonical_edges fast = canonical_edges skip);
-  (fast, skip, noskip)
+  let fast = List.assoc `Indexed slices in
+  List.iter
+    (fun (driver, s) ->
+      let name = Dr_slicing.Slicer.driver_name driver in
+      Alcotest.(check bool) (name ^ " positions identical") true
+        (s.Dr_slicing.Slicer.positions = fast.Dr_slicing.Slicer.positions);
+      Alcotest.(check bool) (name ^ " edges identical") true
+        (canonical_edges s = canonical_edges fast))
+    slices;
+  slices
 
 let test_final_partial_block_criterion () =
   (* criterion inside the trace's final, partial LP block: the clamped
@@ -668,7 +676,7 @@ fn main() {
     = lp.Dr_slicing.Lp.num_blocks - 1);
   Alcotest.(check bool) "final block is partial" true
     (snd (Dr_slicing.Lp.block_range lp (lp.Dr_slicing.Lp.num_blocks - 1)) > n - 1);
-  let _, skip, _ = check_drivers_agree ~lp gt crit in
+  let skip = List.assoc `Scan_skip (check_drivers_agree ~lp gt crit) in
   Alcotest.(check bool) "irrelevant prefix blocks skipped" true
     (skip.Dr_slicing.Slicer.stats.Dr_slicing.Slicer.skipped_blocks > 0)
 
@@ -702,8 +710,9 @@ fn main() {
     (Hashtbl.length c.Dr_slicing.Collector.pairs > 0);
   let lp = Dr_slicing.Lp.prepare ~block_size:64 gt in
   let crit = assert_criterion prog gt in
-  let fast, _, _ =
-    check_drivers_agree ~pairs:c.Dr_slicing.Collector.pairs ~lp gt crit
+  let fast =
+    List.assoc `Indexed
+      (check_drivers_agree ~pairs:c.Dr_slicing.Collector.pairs ~lp gt crit)
   in
   let lines = slice_lines fast in
   Alcotest.(check bool) "e=2 still in slice (past the bypass)" true
@@ -740,17 +749,17 @@ let prop_drivers_agree_on_generated =
         { Dr_slicing.Slicer.crit_pos = Dr_slicing.Global_trace.length gt - 1;
           crit_locs = None }
       in
-      let compute ~indexed ~block_skipping =
+      let compute driver =
         Dr_slicing.Slicer.compute ~lp ~pairs:c.Dr_slicing.Collector.pairs
-          ~indexed ~block_skipping gt crit
+          ~driver gt crit
       in
-      let fast = compute ~indexed:true ~block_skipping:true in
-      let skip = compute ~indexed:false ~block_skipping:true in
-      let noskip = compute ~indexed:false ~block_skipping:false in
-      fast.Dr_slicing.Slicer.positions = skip.Dr_slicing.Slicer.positions
-      && skip.Dr_slicing.Slicer.positions = noskip.Dr_slicing.Slicer.positions
-      && canonical_edges fast = canonical_edges skip
-      && canonical_edges skip = canonical_edges noskip)
+      let fast = compute `Indexed in
+      List.for_all
+        (fun driver ->
+          let s = compute driver in
+          s.Dr_slicing.Slicer.positions = fast.Dr_slicing.Slicer.positions
+          && canonical_edges s = canonical_edges fast)
+        stored_drivers)
 
 let test_def_index () =
   let prog = compile fig5_src in
@@ -1079,8 +1088,8 @@ let test_governed_ladder_scan () =
      must step down to the scan driver and still produce the same slice *)
   let budget = Dr_util.Budget.create ~mem_bytes:1 () in
   let g = Dr_slicing.Slicer.compute_governed ~budget gt crit in
-  Alcotest.(check string) "degraded to scan" "scan"
-    (Dr_slicing.Slicer.rung_name g.Dr_slicing.Slicer.g_rung);
+  Alcotest.(check bool) "degraded to the no-skip scan" true
+    (g.Dr_slicing.Slicer.g_driver = `Scan);
   Alcotest.(check bool) "same slice on the scan rung" true
     (clean.Dr_slicing.Slicer.positions
     = g.Dr_slicing.Slicer.g_slice.Dr_slicing.Slicer.positions);
@@ -1089,8 +1098,47 @@ let test_governed_ladder_scan () =
   (* a roomy budget keeps the indexed rung *)
   let roomy = Dr_util.Budget.create ~mem_bytes:max_int ()  in
   let g' = Dr_slicing.Slicer.compute_governed ~budget:roomy gt crit in
-  Alcotest.(check string) "roomy budget stays indexed" "indexed"
-    (Dr_slicing.Slicer.rung_name g'.Dr_slicing.Slicer.g_rung)
+  Alcotest.(check bool) "roomy budget stays indexed" true
+    (g'.Dr_slicing.Slicer.g_driver = `Indexed)
+
+(* the governor's decision shows in a run report: the governed span's
+   phase carries the index estimate, the remaining memory budget and the
+   chosen driver *)
+let test_governed_decision_in_report () =
+  let prog = compile loop_src in
+  let c = collect prog in
+  let gt = Dr_slicing.Global_trace.construct c in
+  let crit = assert_criterion prog gt in
+  let was_enabled = Dr_obs.Obs.enabled () in
+  Dr_obs.Obs.reset ();
+  Dr_obs.Obs.set_enabled true;
+  let budget = Dr_util.Budget.create ~mem_bytes:1 () in
+  ignore (Dr_slicing.Slicer.compute_governed ~budget gt crit);
+  let doc = Dr_obs.Report.document ~label:"governor" () in
+  Dr_obs.Obs.set_enabled was_enabled;
+  Dr_obs.Obs.reset ();
+  (match Dr_obs.Report.validate doc with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "report invalid: %s" e);
+  let attr phase k =
+    let ( >>= ) = Option.bind in
+    Dr_util.Json.member "phases" doc >>= Dr_util.Json.member phase
+    >>= Dr_util.Json.member "last_attrs" >>= Dr_util.Json.member k
+  in
+  let str phase k = Option.bind (attr phase k) Dr_util.Json.to_str in
+  let num phase k = Option.bind (attr phase k) Dr_util.Json.to_float in
+  Alcotest.(check (option string)) "governor chose the no-skip scan"
+    (Some "scan-noskip")
+    (str "slicer.compute_governed" "driver");
+  Alcotest.(check (option (float 0.0))) "index estimate"
+    (Some
+       (float_of_int (Dr_slicing.Slicer.index_estimate_bytes gt)))
+    (num "slicer.compute_governed" "index_estimate_bytes");
+  Alcotest.(check (option (float 0.0))) "remaining memory budget" (Some 1.0)
+    (num "slicer.compute_governed" "mem_remaining_bytes");
+  Alcotest.(check (option string)) "traversal names its driver"
+    (Some "scan-noskip")
+    (str "slicer.compute" "driver")
 
 (* satellite: a genuine order-edge cycle must raise the structured
    [Cycle] carrying the blocked record window, not stall or die on a
@@ -1200,5 +1248,7 @@ let () =
           Alcotest.test_case "watchdog truncates" `Quick
             test_watchdog_truncates_slice;
           Alcotest.test_case "governed ladder" `Quick test_governed_ladder_scan;
+          Alcotest.test_case "governor decision in report" `Quick
+            test_governed_decision_in_report;
           Alcotest.test_case "cycle structured error" `Quick
             test_cycle_structured_error ] ) ]
