@@ -175,7 +175,7 @@ type measured = {
   par_identical : bool;  (* parallel slices byte-identical to sequential *)
   record_bytes_total : int;  (* stored size of every trace record *)
   reexec_slice_s : float;  (* one re-execution pass over all criteria *)
-  reexec_peak_mem : int;  (* peak resident record bytes during it *)
+  reexec_peak_mem : int;  (* checkpoint ladder + peak cached fragments *)
   reexec_identical : bool;  (* re-exec slices byte-identical to indexed *)
   segstore_hit_rate : float;  (* segment-cache hits/(hits+misses), spilled run *)
   reexec_window_hit_rate : float;  (* window-cache hits/(hits+rederives) *)
@@ -252,8 +252,9 @@ let measure_spill (p : prepared) =
      re-execution — record lookups replay forward from periodic
      checkpoints and the stored (spilled) records are never read, so
      resident record memory is bounded by the checkpoint interval (two
-     cached windows), not the trace length.  The validator enforces
-     both the byte-identity and the memory bound. *)
+     cached windows), not the trace length.  The memory counted is the
+     checkpoint ladder plus the peak of the cached windows.  The
+     validator enforces both the byte-identity and the memory bound. *)
   let ckpt_interval = max 16 (n / 16) in
   let rx =
     Dr_slicing.Reexec.create ~cfg:c.Dr_slicing.Collector.cfg ~ckpt_interval
@@ -276,7 +277,10 @@ let measure_spill (p : prepared) =
     time (fun () -> List.iter (fun crit -> ignore (reexec crit)) p.criteria)
   in
   let rx_stats = Dr_slicing.Reexec.stats rx in
-  let reexec_peak_mem = rx_stats.Dr_slicing.Reexec.peak_resident_bytes in
+  let reexec_peak_mem =
+    rx_stats.Dr_slicing.Reexec.ladder_bytes
+    + rx_stats.Dr_slicing.Reexec.peak_resident_bytes
+  in
   let reexec_window_hit_rate =
     let hits = rx_stats.Dr_slicing.Reexec.window_hits in
     let misses = rx_stats.Dr_slicing.Reexec.windows_rederived in

@@ -257,12 +257,14 @@ let run_slice workload source seed input stats trace_out report_out
               let rst = Dr_slicing.Reexec.stats rx in
               Printf.printf
                 "reexec driver: interval %d, %d checkpoints, %d windows \
-                 re-derived (%d window hits), peak %d resident record bytes\n"
+                 re-derived (%d window hits), peak %d resident record bytes, \
+                 ladder %d bytes\n"
                 ckpt_interval
                 (Dr_slicing.Reexec.num_checkpoints rx)
                 rst.Dr_slicing.Reexec.windows_rederived
                 rst.Dr_slicing.Reexec.window_hits
-                rst.Dr_slicing.Reexec.peak_resident_bytes;
+                rst.Dr_slicing.Reexec.peak_resident_bytes
+                rst.Dr_slicing.Reexec.ladder_bytes;
               s
             | (`Scan_skip | `Scan) as d ->
               let lp = Dr_slicing.Lp.prepare gt in

@@ -56,8 +56,8 @@ type t = {
   mutable prune : bool;  (** apply save/restore pruning to slices *)
   mutable refine : bool;  (** apply CFG refinement to control deps *)
   mutable checkpoints : Dr_pinplay.Replayer.checkpoint list;
-      (** auto-captured during replay, most recent first (reverse debugging) *)
-  mutable checkpoint_interval : int;
+      (** the checkpoint ladder of the current replay, latest first *)
+  mutable checkpoint_interval : int;  (** steps between ladder rungs *)
   mutable stopped_at_bp : bool;
       (** gdb semantics: continuing from a breakpoint first steps off it *)
 }
@@ -215,30 +215,58 @@ let stop_of_reason (t : t) (m : Machine.t) (reason : Driver.stop_reason) : stop 
   | Driver.Deadlock -> mk 0 (Machine.thread m 0).Machine.pc "deadlock"
   | Driver.Stop_requested -> mk 0 (Machine.thread m 0).Machine.pc "stopped"
 
-(* capture a checkpoint if we've moved far enough past the last one *)
-let maybe_checkpoint (t : t) (r : Dr_pinplay.Replayer.t) =
+(* ---- the checkpoint ladder ----
+
+   A checkpoint costs a page-table copy plus the pages written since the
+   previous one (see Snapshot), so the replay keeps one at every
+   multiple of [checkpoint_interval] it stands on.  [t.checkpoints] is
+   sorted latest first; a seek starts from the first entry at or before
+   its target and replays fewer than [checkpoint_interval] steps. *)
+
+let interval (t : t) = max 1 t.checkpoint_interval
+
+(* hold a checkpoint of [r]'s position if it is a multiple of the
+   interval the ladder does not hold yet *)
+let ladder_point (t : t) (r : Dr_pinplay.Replayer.t) =
   let here = Dr_pinplay.Replayer.steps r in
-  let last =
-    match t.checkpoints with
-    | c :: _ -> c.Dr_pinplay.Replayer.c_steps
-    | [] -> -t.checkpoint_interval
+  if here > 0 && here mod interval t = 0 then begin
+    let rec insert = function
+      | c :: rest when c.Dr_pinplay.Replayer.c_steps > here -> c :: insert rest
+      | c :: _ as l when c.Dr_pinplay.Replayer.c_steps = here -> l
+      | l -> Dr_pinplay.Replayer.checkpoint r :: l
+    in
+    t.checkpoints <- insert t.checkpoints
+  end
+
+(* Resume [r] for at most [budget] steps, in strides that end on
+   multiples of the interval, with a ladder point between strides. *)
+let resume_laddered ?hooks ?break_at ?stop_when (t : t) r ~budget =
+  let rec go budget =
+    ladder_point t r;
+    let stride = interval t - (Dr_pinplay.Replayer.steps r mod interval t) in
+    match
+      Dr_pinplay.Replayer.resume ?hooks ?break_at ?stop_when
+        ~max_steps:(min budget stride) r
+    with
+    | Driver.Max_steps when budget > stride -> go (budget - stride)
+    | reason ->
+      ladder_point t r;
+      reason
   in
-  if here - last >= t.checkpoint_interval then
-    t.checkpoints <- Dr_pinplay.Replayer.checkpoint r :: t.checkpoints
+  go budget
 
 let divergence_error d =
   Error ("replay divergence: " ^ Dr_pinplay.Replayer.divergence_message d)
 
 (** Continue replay until a breakpoint, the end of the region, or (with
-    [max_steps]) a step count.  Checkpoints for reverse debugging are
-    captured at every stop.  Continuing from a breakpoint first steps off
-    it (gdb semantics). *)
+    [max_steps]) a step count.  The checkpoint ladder grows as the
+    replay passes each multiple of [checkpoint_interval].  Continuing
+    from a breakpoint first steps off it (gdb semantics). *)
 let continue_replay ?max_steps (t : t) : (stop, string) result =
   match t.mode with
   | Replaying r -> (
     let finish reason =
       t.replay_steps <- Dr_pinplay.Replayer.steps r;
-      maybe_checkpoint t r;
       t.stopped_at_bp <- (match reason with Driver.Breakpoint _ -> true | _ -> false);
       let stop = stop_of_reason t (Dr_pinplay.Replayer.machine r) reason in
       t.last_stop <- Some stop;
@@ -284,13 +312,12 @@ let continue_replay ?max_steps (t : t) : (stop, string) result =
         in
         try
           let reason =
-            Dr_pinplay.Replayer.resume ~max_steps:!budget
-              ~break_at:(break_at_fn t) ?stop_when r
+            resume_laddered t r ~budget:!budget ~break_at:(break_at_fn t)
+              ?stop_when
           in
           match (reason, !fired_watch) with
           | Driver.Stop_requested, Some (w, v, tid, pc) ->
             t.replay_steps <- Dr_pinplay.Replayer.steps r;
-            maybe_checkpoint t r;
             t.stopped_at_bp <- false;
             let stop =
               { stop_tid = tid; stop_pc = pc; stop_line = line_of_pc t pc;
@@ -309,8 +336,7 @@ let stepi (t : t) n = continue_replay ~max_steps:n t
 
    Replay is deterministic, so "going backwards" is: restart from the
    nearest checkpoint at or before the target step count and run forward
-   to the target.  Without a checkpoint this degrades to replaying from
-   the region start — still fast, because regions are small by design. *)
+   to the target. *)
 
 (** Move the replay to exactly [target] retired instructions. *)
 let goto_step (t : t) ~target : (stop, string) result =
@@ -336,7 +362,7 @@ let goto_step (t : t) ~target : (stop, string) result =
       let result =
         if need = 0 then Ok ()
         else
-          match Dr_pinplay.Replayer.resume ~max_steps:need ~hooks r with
+          match resume_laddered ~hooks t r ~budget:need with
           | Driver.Max_steps | Driver.Schedule_end | Driver.Terminated _ -> Ok ()
           | reason ->
             Error
@@ -370,44 +396,55 @@ let reverse_stepi (t : t) n : (stop, string) result =
   | Replaying _ -> goto_step t ~target:(max 0 (t.replay_steps - n))
   | _ -> Error "not replaying"
 
-(** Run backwards to the most recent earlier breakpoint hit.  Scans
-    forward from the region start (deterministically) to find breakpoint
-    hits before the current position, then rewinds to the last one. *)
+(** Run backwards to the most recent earlier breakpoint hit.  Walks the
+    checkpoint ladder back one window at a time: it replays from the
+    nearest checkpoint below the current step up to that step, and moves
+    one checkpoint further back while a window holds no breakpoint hit.
+    Then it rewinds to the last hit found. *)
 let reverse_continue (t : t) : (stop, string) result =
   match (t.mode, t.pinball) with
   | Replaying _, Some pb ->
     let current = t.replay_steps in
     if current = 0 then Error "already at the region start"
     else begin
-      (* scan: replay from the start, collecting breakpoint-hit step
-         counts strictly before the current position *)
-      let scan = Dr_pinplay.Replayer.create t.prog pb in
-      let hits = ref [] in
       let break_at = break_at_fn t in
-      let rec loop () =
-        match
-          Dr_pinplay.Replayer.resume ~break_at
-            ~max_steps:(current - Dr_pinplay.Replayer.steps scan)
-            scan
-        with
-        | Driver.Breakpoint { tid; pc } when Dr_pinplay.Replayer.steps scan < current ->
-          hits := (Dr_pinplay.Replayer.steps scan, tid, pc) :: !hits;
-          (* step past the breakpoint instruction and keep scanning *)
-          (match Dr_pinplay.Replayer.resume ~max_steps:1 scan with
-          | Driver.Max_steps -> loop ()
-          | _ -> ())
-        | _ -> ()
+      (* the last breakpoint hit strictly before step [until], replaying
+         from checkpoint [from] (the region start if [None]) *)
+      let last_hit from ~until =
+        let scan = Dr_pinplay.Replayer.create ?from t.prog pb in
+        let last = ref None in
+        let rec loop () =
+          let here = Dr_pinplay.Replayer.steps scan in
+          if here < until then
+            match
+              Dr_pinplay.Replayer.resume ~break_at ~max_steps:(until - here) scan
+            with
+            | Driver.Breakpoint { tid; pc } ->
+              last := Some (Dr_pinplay.Replayer.steps scan, tid, pc);
+              (* step past the breakpoint instruction and keep scanning *)
+              (match Dr_pinplay.Replayer.resume ~max_steps:1 scan with
+              | Driver.Max_steps -> loop ()
+              | _ -> ())
+            | _ -> ()
+        in
+        loop ();
+        !last
       in
-      let scanned =
-        try
-          loop ();
-          Ok !hits
-        with Dr_pinplay.Replayer.Divergence d -> divergence_error d
+      (* [ladder] holds the checkpoints below [until], latest first *)
+      let rec back ~until = function
+        | c :: older -> (
+          match last_hit (Some c) ~until with
+          | Some hit -> Some hit
+          | None -> back ~until:c.Dr_pinplay.Replayer.c_steps older)
+        | [] -> last_hit None ~until
       in
-      match scanned with
-      | Error e -> Error e
-      | Ok [] -> Error "no earlier breakpoint hit in this region"
-      | Ok ((last, tid, pc) :: _) -> (
+      let below =
+        List.filter (fun c -> c.Dr_pinplay.Replayer.c_steps < current) t.checkpoints
+      in
+      match back ~until:current below with
+      | exception Dr_pinplay.Replayer.Divergence d -> divergence_error d
+      | None -> Error "no earlier breakpoint hit in this region"
+      | Some (last, tid, pc) -> (
         match goto_step t ~target:last with
         | Error e -> Error e
         | Ok _ ->
@@ -430,11 +467,11 @@ let read_var (t : t) (m : Machine.t) ~tid name : (int, string) result =
   let th = Machine.thread m tid in
   match Dr_isa.Debug_info.lookup_var t.prog.Dr_isa.Program.debug ~pc:th.Machine.pc name with
   | None -> Error (Printf.sprintf "no variable %s in scope at pc %d" name th.Machine.pc)
-  | Some (Dr_isa.Debug_info.Global a) -> Ok m.Machine.mem.(a)
+  | Some (Dr_isa.Debug_info.Global a) -> Ok (Machine.load m a)
   | Some (Dr_isa.Debug_info.Frame off) ->
     let addr = th.Machine.regs.(Dr_isa.Reg.fp) + off in
-    if addr < 0 || addr >= Array.length m.Machine.mem then Error "frame slot out of range"
-    else Ok m.Machine.mem.(addr)
+    if addr < 0 || addr >= Machine.mem_size m then Error "frame slot out of range"
+    else Ok (Machine.load m addr)
   | Some (Dr_isa.Debug_info.Register r) -> Ok th.Machine.regs.(r)
 
 (** The dependence location of variable [name] for slicing purposes. *)
@@ -460,11 +497,11 @@ let backtrace (t : t) (m : Machine.t) ~tid : (string * int) list =
     if depth > 64 then List.rev acc
     else begin
       let acc = (name_of pc, pc) :: acc in
-      if fp < 0 || fp >= Array.length m.Machine.mem then List.rev acc
+      if fp < 0 || fp >= Machine.mem_size m then List.rev acc
       else begin
-        let ra = if fp + 1 < Array.length m.Machine.mem then m.Machine.mem.(fp + 1) else -1 in
+        let ra = if fp + 1 < Machine.mem_size m then Machine.load m (fp + 1) else -1 in
         if ra = Machine.ret_sentinel || ra <= 0 then List.rev acc
-        else walk (ra - 1) m.Machine.mem.(fp) acc (depth + 1)
+        else walk (ra - 1) (Machine.load m fp) acc (depth + 1)
       end
     end
   in
@@ -476,8 +513,7 @@ let backtrace (t : t) (m : Machine.t) ~tid : (string * int) list =
        to the caller *)
     let sp = th.Machine.regs.(Dr_isa.Reg.sp) in
     let ra =
-      if sp >= 0 && sp < Array.length m.Machine.mem then m.Machine.mem.(sp)
-      else -1
+      if sp >= 0 && sp < Machine.mem_size m then Machine.load m sp else -1
     in
     if ra = Machine.ret_sentinel || ra <= 0 then [ (name_of pc, pc) ]
     else (name_of pc, pc) :: walk (ra - 1) fp [] 0

@@ -65,7 +65,7 @@ let remaining t =
 
 let apply_injection t (inj : Dr_pinplay.Pinball.injection) =
   List.iter
-    (fun (a, v) -> t.machine.Machine.mem.(a) <- v)
+    (fun (a, v) -> Machine.store t.machine a v)
     inj.Dr_pinplay.Pinball.inj_mem;
   let th = Machine.thread t.machine inj.Dr_pinplay.Pinball.inj_tid in
   List.iter

@@ -41,9 +41,16 @@ let next_runnable m start =
   in
   go (((start mod n) + n) mod n) n
 
+(** Where a scripted schedule stands: entry [pos] has [left] slots still
+    to run, or, when [left] is 0, has not started.  A replay checkpoint
+    records it, so a resumed replay continues the schedule without
+    re-walking it. *)
+type cursor = { mutable pos : int; mutable left : int }
+
 (* A picker returns the tid to step next, or None for "no runnable thread"
-   (deadlock, or schedule exhausted for scripted picks). *)
-let make_picker policy =
+   (deadlock, or schedule exhausted for scripted picks).  A scripted
+   picker advances [cursor]. *)
+let make_picker policy cursor =
   match policy with
   | Round_robin { quantum } ->
     let left = ref quantum in
@@ -79,19 +86,19 @@ let make_picker policy =
           left := 1 + Random.State.int rng (max max_quantum 1);
           Some t)
   | Scripted sched ->
-    let pos = ref 0 and left = ref 0 in
+    let c = cursor in
     fun _m ~last ->
       ignore last;
       (* advance past empty slices *)
-      while !left = 0 && !pos < Array.length sched do
-        let _, cnt = sched.(!pos) in
-        if cnt = 0 then incr pos else left := cnt
+      while c.left = 0 && c.pos < Array.length sched do
+        let _, cnt = sched.(c.pos) in
+        if cnt = 0 then c.pos <- c.pos + 1 else c.left <- cnt
       done;
-      if !left = 0 then None
+      if c.left = 0 then None
       else begin
-        let tid, _ = sched.(!pos) in
-        decr left;
-        if !left = 0 then incr pos;
+        let tid, _ = sched.(c.pos) in
+        c.left <- c.left - 1;
+        if c.left = 0 then c.pos <- c.pos + 1;
         Some tid
       end
   | Custom f -> f
@@ -104,6 +111,7 @@ type session = {
   nondet : Machine.nondet;
   pick : Machine.t -> last:int -> int option;
   scripted : bool;
+  script : cursor;  (** scripted policies only *)
   mutable last : int;
   mutable pending : int option;
       (** the tid picked when a breakpoint stopped the session: it has
@@ -111,11 +119,26 @@ type session = {
           {!resume} steps it before asking the picker again *)
 }
 
-let session ?(nondet : Machine.nondet option) (m : Machine.t) (policy : policy)
-    : session =
+(** [at] starts a scripted policy at a {!cursor} position other than
+    the schedule's start. *)
+let session ?(nondet : Machine.nondet option) ?(at = { pos = 0; left = 0 })
+    (m : Machine.t) (policy : policy) : session =
   let nondet = match nondet with Some f -> f | None -> Machine.native_nondet m in
   let scripted = match policy with Scripted _ -> true | _ -> false in
-  { m; nondet; pick = make_picker policy; scripted; last = 0; pending = None }
+  let script = { pos = at.pos; left = at.left } in
+  { m; nondet; pick = make_picker policy script; scripted; script; last = 0;
+    pending = None }
+
+(** The scripted-schedule position of the next instruction to run.  A
+    [pending] tid has consumed its slot without stepping, so the slot is
+    given back: a session started {!session} [~at] this cursor runs the
+    same schedule as this one. *)
+let cursor (s : session) : cursor =
+  let c = s.script in
+  match s.pending with
+  | None -> { pos = c.pos; left = c.left }
+  | Some _ when c.left = 0 -> { pos = c.pos - 1; left = 1 }
+  | Some _ -> { pos = c.pos; left = c.left + 1 }
 
 (** Run the session until a stop condition.
 

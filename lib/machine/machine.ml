@@ -36,9 +36,30 @@ type outcome =
 
 type nondet = Event.nondet_kind -> int
 
+(* ---- paged memory ----
+
+   Memory is a table of [page_words]-word pages.  A fresh machine maps
+   every page to the one shared {!zero_page}; [owned] marks the pages
+   this machine may write in place, and a store to any other page
+   copies it first.  A snapshot therefore shares pages with the machine
+   it was taken from and with every machine restored from it, and a
+   capture or restore copies the table, not the memory. *)
+
+let page_bits = 9
+let page_words = 1 lsl page_bits
+let page_mask = page_words - 1
+
+(** The page every untouched part of memory maps to.  No machine owns
+    it, so no store ever writes it. *)
+let zero_page = Array.make page_words 0
+
+let pages_for words = (words + page_words - 1) lsr page_bits
+
 type t = {
   prog : Program.t;
-  mem : int array;
+  mem : int array array;
+      (** page table: address [a] is [mem.(a lsr page_bits).(a land page_mask)] *)
+  owned : Bytes.t;  (** per page: ['\001'] if this machine may write it in place *)
   mutable threads : thread array;
   mutable nthreads : int;
   locks : (int, int) Hashtbl.t;  (** mutex address -> owner tid *)
@@ -56,30 +77,81 @@ let ret_sentinel = -1
 let heap_limit t =
   t.prog.Program.mem_size - (t.prog.Program.max_threads * t.prog.Program.stack_words)
 
-let make_thread prog ~tid ~pc ~arg mem =
+let mem_size t = t.prog.Program.mem_size
+
+(* Unchecked access: callers have bounds-checked [a] against
+   [mem_size], and the table has [pages_for mem_size] pages. *)
+let get t a =
+  Array.unsafe_get (Array.unsafe_get t.mem (a lsr page_bits)) (a land page_mask)
+
+let set t a v =
+  let p = a lsr page_bits in
+  let page =
+    if Bytes.unsafe_get t.owned p <> '\000' then Array.unsafe_get t.mem p
+    else begin
+      let page = Array.copy (Array.unsafe_get t.mem p) in
+      Array.unsafe_set t.mem p page;
+      Bytes.unsafe_set t.owned p '\001';
+      page
+    end
+  in
+  Array.unsafe_set page (a land page_mask) v
+
+(** The word at address [a].  Out of range raises
+    [Invalid_argument "index out of bounds"], as an array access would. *)
+let load t a =
+  if a < 0 || a >= mem_size t then invalid_arg "index out of bounds";
+  get t a
+
+(** Write the word at address [a], copying its page first if this
+    machine shares it.  Out of range raises like {!load}. *)
+let store t a v =
+  if a < 0 || a >= mem_size t then invalid_arg "index out of bounds";
+  set t a v
+
+(** A copy of the page table for a snapshot.  Every page becomes shared:
+    the machine copies a page before its next store to it, so the
+    returned table never changes. *)
+let share_pages t =
+  Bytes.fill t.owned 0 (Bytes.length t.owned) '\000';
+  Array.copy t.mem
+
+(** Map memory onto the pages of [pages] (a table from {!share_pages}
+    or a decoded snapshot), sharing them. *)
+let adopt_pages t pages =
+  Array.blit pages 0 t.mem 0 (Array.length pages);
+  Bytes.fill t.owned 0 (Bytes.length t.owned) '\000'
+
+let make_thread t ~tid ~pc ~arg =
   let regs = Array.make Reg.file_size 0 in
-  let base = Program.stack_base prog ~tid in
+  let base = Program.stack_base t.prog ~tid in
   let sp = base - 1 in
-  mem.(sp) <- ret_sentinel;
+  store t sp ret_sentinel;
   regs.(Reg.sp) <- sp;
   regs.(Reg.fp) <- sp;
   regs.(Reg.r1) <- arg;
   { tid; pc; regs; state = Runnable; icount = 0; wait_reacquire = -1 }
 
 let create ?(input = [||]) prog =
-  let mem = Array.make prog.Program.mem_size 0 in
-  List.iter (fun (a, v) -> mem.(a) <- v) prog.Program.data;
-  let main = make_thread prog ~tid:0 ~pc:prog.Program.entry ~arg:0 mem in
-  { prog; mem;
-    threads = Array.make prog.Program.max_threads main;
-    nthreads = 1;
-    locks = Hashtbl.create 7;
-    heap_ptr = prog.Program.data_end;
-    outcome = Running;
-    output = Dr_util.Vec.Int_vec.create ();
-    input; input_pos = 0;
-    total_icount = 0;
-    ev = Event.create () }
+  let npages = pages_for prog.Program.mem_size in
+  let t =
+    { prog;
+      mem = Array.make npages zero_page;
+      owned = Bytes.make npages '\000';
+      threads = [||];
+      nthreads = 1;
+      locks = Hashtbl.create 7;
+      heap_ptr = prog.Program.data_end;
+      outcome = Running;
+      output = Dr_util.Vec.Int_vec.create ();
+      input; input_pos = 0;
+      total_icount = 0;
+      ev = Event.create () }
+  in
+  List.iter (fun (a, v) -> store t a v) prog.Program.data;
+  let main = make_thread t ~tid:0 ~pc:prog.Program.entry ~arg:0 in
+  t.threads <- Array.make prog.Program.max_threads main;
+  t
 
 let program t = t.prog
 let outcome t = t.outcome
@@ -131,18 +203,18 @@ let all_finished t =
 exception Trap of string
 
 let mem_load t th addr (ev : Event.t) =
-  if addr < 0 || addr >= Array.length t.mem then
+  if addr < 0 || addr >= mem_size t then
     raise (Trap (Printf.sprintf "load out of bounds: %d" addr));
-  let v = t.mem.(addr) in
+  let v = get t addr in
   ev.mem_read <- addr;
   ev.mem_read_value <- v;
   ignore th;
   v
 
 let mem_store t th addr v (ev : Event.t) =
-  if addr < 0 || addr >= Array.length t.mem then
+  if addr < 0 || addr >= mem_size t then
     raise (Trap (Printf.sprintf "store out of bounds: %d" addr));
-  t.mem.(addr) <- v;
+  set t addr v;
   ev.mem_write <- addr;
   ev.mem_write_value <- v;
   ignore th
@@ -160,7 +232,7 @@ let do_spawn t th (ev : Event.t) =
   if fn < 0 || fn >= Array.length t.prog.Program.code then
     raise (Trap (Printf.sprintf "spawn: bad entry pc %d" fn));
   let tid = t.nthreads in
-  let child = make_thread t.prog ~tid ~pc:fn ~arg t.mem in
+  let child = make_thread t ~tid ~pc:fn ~arg in
   t.threads.(tid) <- child;
   t.nthreads <- t.nthreads + 1;
   th.regs.(Reg.r0) <- tid;
@@ -216,7 +288,7 @@ let do_syscall t th sys nondet (ev : Event.t) =
     end
   | Instr.Lock ->
     let addr = th.regs.(Reg.r1) in
-    if addr < 0 || addr >= Array.length t.mem then raise (Trap "lock: bad address");
+    if addr < 0 || addr >= mem_size t then raise (Trap "lock: bad address");
     (match Hashtbl.find_opt t.locks addr with
     | None ->
       Hashtbl.replace t.locks addr th.tid;
@@ -261,7 +333,7 @@ let do_syscall t th sys nondet (ev : Event.t) =
     end
     else begin
       let cond = th.regs.(Reg.r1) and mutex = th.regs.(Reg.r2) in
-      if cond < 0 || cond >= Array.length t.mem then raise (Trap "wait: bad condvar");
+      if cond < 0 || cond >= mem_size t then raise (Trap "wait: bad condvar");
       (match Hashtbl.find_opt t.locks mutex with
       | Some owner when owner = th.tid -> Hashtbl.remove t.locks mutex
       | _ -> raise (Trap "wait: mutex not held by this thread"));

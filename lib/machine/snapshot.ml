@@ -4,7 +4,14 @@
     boundary: memory, per-thread register files and states, the lock
     table, the heap pointer and the input cursor.  Program output is
     deliberately not captured — a replayed region produces the region's
-    own output. *)
+    own output.
+
+    Memory is held as a {!Machine} page table whose pages the snapshot
+    shares copy-on-write with the machine it was taken from and with
+    every machine restored from it, so capture and restore cost a table
+    copy.  Pages are plain arrays and ownership lives in the machine,
+    so structural equality of two snapshots still means "same
+    memory". *)
 
 open Dr_isa
 
@@ -18,7 +25,8 @@ type thread_snap = {
 }
 
 type t = {
-  mem : int array;
+  mem : int array array;  (** page table, shared copy-on-write *)
+  mem_size : int;  (** addressable words *)
   threads : thread_snap list;
   locks : (int * int) list;  (** (address, owner) *)
   heap_ptr : int;
@@ -35,7 +43,8 @@ let capture (m : Machine.t) =
              s_wait_reacquire = th.wait_reacquire })
   in
   let locks = Hashtbl.fold (fun a o acc -> (a, o) :: acc) m.locks [] in
-  { mem = Array.copy m.mem;
+  { mem = Machine.share_pages m;
+    mem_size = Machine.mem_size m;
     threads;
     locks = List.sort compare locks;
     heap_ptr = m.heap_ptr;
@@ -48,7 +57,7 @@ let capture (m : Machine.t) =
     the syscall log, so the replayer passes [[||]]. *)
 let restore ?(input = [||]) (prog : Program.t) (s : t) : Machine.t =
   let m = Machine.create ~input prog in
-  Array.blit s.mem 0 m.mem 0 (Array.length s.mem);
+  Machine.adopt_pages m s.mem;
   let threads =
     List.map
       (fun ts ->
@@ -82,24 +91,35 @@ let decode_state d =
   | 4 -> Machine.Blocked_cond (Dr_util.Codec.get_uint d)
   | _ -> raise (Dr_util.Codec.Corrupt "thread_state")
 
+(* [f a v] for every non-zero word, in address order; the zero page is
+   skipped whole *)
+let iter_nonzero f (s : t) =
+  Array.iteri
+    (fun p page ->
+      if page != Machine.zero_page then
+        let base = p lsl Machine.page_bits in
+        for i = 0 to min Machine.page_words (s.mem_size - base) - 1 do
+          let v = page.(i) in
+          if v <> 0 then f (base + i) v
+        done)
+    s.mem
+
 (** Memory is encoded sparsely as (address delta, value) pairs for
     non-zero cells — pinball size then tracks the memory footprint of the
     region, as in the paper, not the address-space size. *)
 let encode e (s : t) =
   let open Dr_util.Codec in
-  put_uint e (Array.length s.mem);
+  put_uint e s.mem_size;
   let nonzero = ref 0 in
-  Array.iter (fun v -> if v <> 0 then incr nonzero) s.mem;
+  iter_nonzero (fun _ _ -> incr nonzero) s;
   put_uint e !nonzero;
   let last = ref 0 in
-  Array.iteri
+  iter_nonzero
     (fun a v ->
-      if v <> 0 then begin
-        put_uint e (a - !last);
-        put_int e v;
-        last := a
-      end)
-    s.mem;
+      put_uint e (a - !last);
+      put_int e v;
+      last := a)
+    s;
   put_list e
     (fun e ts ->
       put_uint e ts.s_tid;
@@ -118,11 +138,11 @@ let encode e (s : t) =
   put_uint e s.input_pos;
   put_uint e s.total_icount
 
-(* Decoded memory is materialized densely, so [mem_size] cannot be
-   validated against the (sparse) input length the way collection counts
-   are; cap it instead.  16M words is far beyond any Program.mem_size
-   this VM configures, and keeps a corrupt count from allocating
-   gigabytes. *)
+(* Decoding allocates the page table for [mem_size] words, so
+   [mem_size] cannot be validated against the (sparse) input length the
+   way collection counts are; cap it instead.  16M words is far beyond
+   any Program.mem_size this VM configures, and keeps a corrupt count
+   from allocating a huge table. *)
 let max_mem_words = 1 lsl 24
 
 let decode d : t =
@@ -130,14 +150,17 @@ let decode d : t =
   let mem_size = get_uint d in
   if mem_size < 0 || mem_size > max_mem_words then
     raise (Corrupt "snapshot mem size implausible");
-  let mem = Array.make mem_size 0 in
+  (* only the pages a cell lands on are allocated *)
+  let mem = Array.make (Machine.pages_for mem_size) Machine.zero_page in
   let nonzero = get_count ~min_elt_bytes:2 d "snapshot mem cells" in
   let last = ref 0 in
   for _ = 1 to nonzero do
     let a = !last + get_uint d in
     let v = get_int d in
     if a < 0 || a >= mem_size then raise (Corrupt "snapshot mem");
-    mem.(a) <- v;
+    let p = a lsr Machine.page_bits in
+    if mem.(p) == Machine.zero_page then mem.(p) <- Array.make Machine.page_words 0;
+    mem.(p).(a land Machine.page_mask) <- v;
     last := a
   done;
   let threads =
@@ -159,4 +182,4 @@ let decode d : t =
   let heap_ptr = get_uint d in
   let input_pos = get_uint d in
   let total_icount = get_uint d in
-  { mem; threads; locks; heap_ptr; input_pos; total_icount }
+  { mem; mem_size; threads; locks; heap_ptr; input_pos; total_icount }

@@ -53,6 +53,8 @@ type checkpoint = {
   c_snapshot : Snapshot.t;
   c_steps : int;
   c_syscall_pos : int;
+  c_cursor : Driver.cursor;  (** schedule position; never mutated *)
+  c_next_digest : int;
 }
 
 (** A nondet source that feeds results from a recorded syscall log. *)
@@ -66,47 +68,30 @@ let log_nondet (syscalls : int array) (pos : int ref) : Machine.nondet =
       v
     end
 
-(* the RLE schedule with its first [n] retired instructions consumed *)
-let schedule_suffix (schedule : (int * int) array) n =
-  let remaining = ref n in
-  let out = ref [] in
-  Array.iter
-    (fun (tid, cnt) ->
-      if !remaining >= cnt then remaining := !remaining - cnt
-      else if !remaining > 0 then begin
-        out := (tid, cnt - !remaining) :: !out;
-        remaining := 0
-      end
-      else out := (tid, cnt) :: !out)
-    schedule;
-  Array.of_list (List.rev !out)
-
-(* first digest index strictly beyond [steps] retired instructions *)
-let digest_index (digests : Pinball.digest array) steps =
-  let i = ref 0 in
-  while !i < Array.length digests && digests.(!i).Pinball.dg_step <= steps do
-    incr i
-  done;
-  !i
-
 (** Create a replayer for a region pinball, optionally resuming [from] a
-    checkpoint taken on an earlier replay of the {e same} pinball. *)
+    checkpoint taken on an earlier replay of the {e same} pinball.
+    Resuming costs a page-table copy: the checkpoint carries the
+    schedule cursor and the next digest to check. *)
 let create ?(from : checkpoint option) (prog : Dr_isa.Program.t)
     (pinball : Pinball.t) : t =
   if pinball.Pinball.kind <> Pinball.Region then
     invalid_arg "Replayer.create: slice pinballs replay via Dr_exeslice";
-  let snapshot, steps, sys0 =
+  let schedule = pinball.Pinball.schedule in
+  let snapshot, steps, sys0, at, next_digest =
     match from with
-    | None -> (pinball.Pinball.snapshot, 0, 0)
-    | Some c -> (c.c_snapshot, c.c_steps, c.c_syscall_pos)
+    | None -> (pinball.Pinball.snapshot, 0, 0, { Driver.pos = 0; left = 0 }, 0)
+    | Some c ->
+      let { Driver.pos; left } = c.c_cursor in
+      if pos < 0 || pos > Array.length schedule || left < 0
+         || (left > 0 && (pos = Array.length schedule || left > snd schedule.(pos)))
+      then invalid_arg "Replayer.create: checkpoint cursor outside the schedule";
+      (c.c_snapshot, c.c_steps, c.c_syscall_pos, c.c_cursor, c.c_next_digest)
   in
   let machine = Snapshot.restore prog snapshot in
   let syscall_pos = ref sys0 in
   let nondet = log_nondet pinball.Pinball.syscalls syscall_pos in
-  let schedule = schedule_suffix pinball.Pinball.schedule steps in
-  let session = Driver.session ~nondet machine (Driver.Scripted schedule) in
-  { machine; pinball; session; syscall_pos; steps;
-    next_digest = digest_index pinball.Pinball.digests steps }
+  let session = Driver.session ~nondet ~at machine (Driver.Scripted schedule) in
+  { machine; pinball; session; syscall_pos; steps; next_digest }
 
 let machine t = t.machine
 
@@ -116,7 +101,8 @@ let steps t = t.steps
     instructions, i.e. not from inside a hook that mutates state). *)
 let checkpoint (t : t) : checkpoint =
   { c_snapshot = Snapshot.capture t.machine; c_steps = t.steps;
-    c_syscall_pos = !(t.syscall_pos) }
+    c_syscall_pos = !(t.syscall_pos); c_cursor = Driver.cursor t.session;
+    c_next_digest = t.next_digest }
 
 (* Recompute and compare the next recorded digest once the replay reaches
    its step.  Runs before user hooks so a divergence is reported against

@@ -31,24 +31,29 @@ type t
 
 (** A mid-replay checkpoint: enough state to resume the {e same} replay
     from this point without re-executing the prefix — the substrate for
-    reverse debugging (paper §8). *)
+    reverse debugging (paper §8).  The snapshot shares its pages
+    copy-on-write, so a checkpoint costs a page-table copy plus the
+    pages written since the previous one. *)
 type checkpoint = {
   c_snapshot : Dr_machine.Snapshot.t;
   c_steps : int;
   c_syscall_pos : int;
+  c_cursor : Dr_machine.Driver.cursor;
+      (** scripted-schedule position; a tid held pending at a breakpoint
+          has its slot given back.  Never mutated. *)
+  c_next_digest : int;  (** index of the next recorded digest to check *)
 }
 
 (** A nondet source feeding results from a recorded syscall log; exposed
     for slice replay. *)
 val log_nondet : int array -> int ref -> Dr_machine.Machine.nondet
 
-(** The RLE schedule with its first [n] retired instructions consumed. *)
-val schedule_suffix : (int * int) array -> int -> (int * int) array
-
 (** Create a replayer for a region pinball, optionally resuming [from] a
-    checkpoint taken on an earlier replay of the {e same} pinball.
+    checkpoint taken on an earlier replay of the {e same} pinball, in
+    O(pages + threads).
     @raise Invalid_argument on slice pinballs (those replay via
-    [Dr_exeslice.Slice_replay]). *)
+    [Dr_exeslice.Slice_replay]), or if the checkpoint's cursor lies
+    outside this pinball's schedule. *)
 val create : ?from:checkpoint -> Dr_isa.Program.t -> Pinball.t -> t
 
 val machine : t -> Dr_machine.Machine.t

@@ -81,6 +81,13 @@ module Derive = struct
       scratch_defs = Dr_util.Vec.Int_vec.create ();
       scratch_uses = Dr_util.Vec.Int_vec.create () }
 
+  (* a copy sized to its bindings: [Hashtbl.copy] would keep the
+     original's bucket array, 4096 buckets for [instance_counts] *)
+  let compact_copy h =
+    let c = Hashtbl.create (Hashtbl.length h) in
+    Hashtbl.iter (Hashtbl.replace c) h;
+    c
+
   (* Deep copy, safe to resume independently: the hashtables are copied,
      the per-thread cd records are re-allocated (their stacks are
      immutable lists and can be shared), the read-only cfg and line
@@ -93,10 +100,25 @@ module Derive = struct
       t.cd_threads;
     { cfg = t.cfg; nline = t.nline; line_of_pc = t.line_of_pc;
       cd_threads;
-      instance_counts = Hashtbl.copy t.instance_counts;
-      lidx_counts = Hashtbl.copy t.lidx_counts;
+      instance_counts = compact_copy t.instance_counts;
+      lidx_counts = compact_copy t.lidx_counts;
       scratch_defs = Dr_util.Vec.Int_vec.create ();
       scratch_uses = Dr_util.Vec.Int_vec.create () }
+
+  let bytes (t : t) =
+    (* a table: header, bucket array, one 4-word cell per binding *)
+    let table h =
+      let st = Hashtbl.stats h in
+      5 + (st.Hashtbl.num_buckets + 1) + (4 * st.Hashtbl.num_bindings)
+    in
+    (* a thread_cd record plus its stack: 3 words per cons, 4 per entry *)
+    let cds =
+      Hashtbl.fold
+        (fun _ (st : thread_cd) acc -> acc + 3 + (7 * List.length st.stack))
+        t.cd_threads 0
+    in
+    (Sys.word_size / 8)
+    * (table t.cd_threads + table t.instance_counts + table t.lidx_counts + cds)
 
   let thread_cd t tid =
     match Hashtbl.find_opt t.cd_threads tid with

@@ -40,6 +40,11 @@ module Derive : sig
   (** Deep copy, safe to advance independently of the original. *)
   val copy : t -> t
 
+  (** Bytes of the tables a {!copy} allocates (hash tables, per-thread
+      control-dependence records and their stacks); the shared CFG and
+      line table are not counted. *)
+  val bytes : t -> int
+
   (** Derive the trace record for the [gseq]-th retired instruction and
       advance the state. *)
   val next : t -> gseq:int -> Dr_machine.Event.t -> Trace.record

@@ -19,9 +19,9 @@
     A small LRU keeps the most recently re-derived window fragments so
     that a backward slicer revisiting nearby positions does not pay a
     re-execution per lookup.  [peak_resident_bytes] tracks the largest
-    number of record-bytes resident at once, which the beyond-RAM bench
-    tier checks stays bounded by the checkpoint interval, not the trace
-    length. *)
+    number of record-bytes resident at once; [ladder_bytes] is what the
+    checkpoint ladder itself holds.  The beyond-RAM bench tier checks
+    that the two together stay below the stored trace. *)
 
 open Dr_machine
 
@@ -46,7 +46,11 @@ type stats = {
   window_hits : int;
   window_evictions : int;
   records_rederived : int;
-  peak_resident_bytes : int;
+  peak_resident_bytes : int;  (** cached window fragments, at most *)
+  ladder_bytes : int;
+      (** the checkpoint ladder: page tables, the pages each checkpoint
+          does not share with its predecessor, and the derivation-state
+          copies *)
 }
 
 type t = {
@@ -54,6 +58,7 @@ type t = {
   pinball : Dr_pinplay.Pinball.t;
   ckpt_interval : int;
   ckpts : ckpt array;  (** ckpts.(w) is taken at step w * ckpt_interval *)
+  ladder_bytes : int;
   nrec : int;  (** total records the region produces *)
   clobber : (Trace.record -> Trace.record) option;
       (** test hook: corrupt re-derived records to exercise oracle 3 *)
@@ -72,6 +77,29 @@ type t = {
 
 let frag_bytes (frag : Trace.record array) =
   Array.fold_left (fun acc r -> acc + Segment_store.record_bytes r) 0 frag
+
+(* Bytes the ladder holds.  A page counts once, in the first checkpoint
+   that maps it; the first checkpoint's predecessor is the pinball's own
+   snapshot, whose pages the pinball holds anyway. *)
+let ladder_bytes (pinball : Dr_pinplay.Pinball.t) (ckpts : ckpt array) =
+  let word = Sys.word_size / 8 in
+  let prev = ref pinball.Dr_pinplay.Pinball.snapshot.Snapshot.mem in
+  Array.fold_left
+    (fun acc k ->
+      let mem = k.k_replay.Dr_pinplay.Replayer.c_snapshot.Snapshot.mem in
+      let fresh = ref 0 in
+      Array.iteri
+        (fun p page ->
+          if page != Machine.zero_page
+             && not (p < Array.length !prev && page == !prev.(p))
+          then incr fresh)
+        mem;
+      prev := mem;
+      acc
+      + ((Array.length mem + 1) * word)
+      + (!fresh * (Machine.page_words + 1) * word)
+      + Collector.Derive.bytes k.k_derive)
+    0 ckpts
 
 (** Build the checkpoint ladder with one full replay of the region.
     [cfg] must be the {e refined} CFG the collector used (pass
@@ -119,7 +147,9 @@ let create ?(ckpt_interval = 4096) ?(cache_windows = 4) ?cfg ?clobber
   let ckpts = Array.of_list (List.rev !ckpts) in
   Dr_obs.Obs.add_attr sp "records" (Dr_obs.Obs.Int !count);
   Dr_obs.Obs.add_attr sp "checkpoints" (Dr_obs.Obs.Int (Array.length ckpts));
-  { prog; pinball; ckpt_interval; ckpts; nrec = !count; clobber;
+  { prog; pinball; ckpt_interval; ckpts;
+    ladder_bytes = ladder_bytes pinball ckpts;
+    nrec = !count; clobber;
     lock = Mutex.create ();
     cache = Hashtbl.create (2 * cache_windows);
     cache_windows = max 1 cache_windows;
@@ -223,4 +253,4 @@ let stats (t : t) : stats =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () ->
   { windows_rederived = t.s_windows; window_hits = t.s_hits;
     window_evictions = t.s_evictions; records_rederived = t.s_records;
-    peak_resident_bytes = t.peak_bytes }
+    peak_resident_bytes = t.peak_bytes; ladder_bytes = t.ladder_bytes }

@@ -172,7 +172,11 @@ let test_fuzz_quick_green () =
     Alcotest.failf "case %d failed %s: %s" f.Dr_conformance.Fuzz.fr_case_id
       (Dr_conformance.Oracles.kind_name f.Dr_conformance.Fuzz.fr_kind)
       f.Dr_conformance.Fuzz.fr_detail);
-  Alcotest.(check int) "no skips" 0 s.Dr_conformance.Fuzz.s_skips
+  Alcotest.(check int) "no skips" 0 s.Dr_conformance.Fuzz.s_skips;
+  (* every machine of the run mapped its untouched memory to the shared
+     zero page; none may have written it *)
+  Alcotest.(check bool) "zero page still all zeros" true
+    (Array.for_all (( = ) 0) Dr_machine.Machine.zero_page)
 
 (* ---- schedule JSON round-trip ---- *)
 

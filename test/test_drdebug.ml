@@ -385,6 +385,95 @@ let test_divergence_is_an_error () =
     (try Drdebug.Session.reverse_continue s
      with e -> Alcotest.failf "reverse-continue raised %s" (Printexc.to_string e))
 
+(* every breakpoint hit of a plain forward replay of the region, as
+   (step, tid, pc) in step order *)
+let forward_hits s ~pc =
+  let pb = Option.get s.Drdebug.Session.pinball in
+  let r = Dr_pinplay.Replayer.create s.Drdebug.Session.prog pb in
+  let hits = ref [] in
+  let rec go () =
+    match Dr_pinplay.Replayer.resume ~break_at:(fun ~tid:_ ~pc:p -> p = pc) r with
+    | Dr_machine.Driver.Breakpoint { tid; pc } ->
+      hits := (Dr_pinplay.Replayer.steps r, tid, pc) :: !hits;
+      (match Dr_pinplay.Replayer.resume ~max_steps:1 r with
+      | Dr_machine.Driver.Max_steps -> go ()
+      | _ -> ())
+    | _ -> ()
+  in
+  go ();
+  List.rev !hits
+
+let test_dense_ladder () =
+  let s, total = recorded_session threads_src in
+  let interval = 40 in
+  s.Drdebug.Session.checkpoint_interval <- interval;
+  ok "replay" (Drdebug.Session.start_replay s);
+  (* a seek from the region start lays the rungs it passes *)
+  ignore (ok "goto" (Drdebug.Session.goto_step s ~target:(total / 2)));
+  Alcotest.(check (list int)) "rungs up to the seek"
+    (List.init (total / 2 / interval) (fun i -> (total / 2 / interval - i) * interval))
+    (List.map (fun c -> c.Dr_pinplay.Replayer.c_steps) s.Drdebug.Session.checkpoints);
+  ok "replay" (Drdebug.Session.start_replay s);
+  let stop = ok "continue" (Drdebug.Session.continue_replay s) in
+  Alcotest.(check string) "ran to the exit" "exited(0)" stop.Drdebug.Session.stop_reason;
+  let steps = List.map (fun c -> c.Dr_pinplay.Replayer.c_steps) s.Drdebug.Session.checkpoints in
+  Alcotest.(check (list int)) "a rung at every multiple, latest first"
+    (List.init (total / interval) (fun i -> (total / interval - i) * interval))
+    (List.filter (fun k -> k < total) steps);
+  let pb = Option.get s.Drdebug.Session.pinball in
+  let rng = Random.State.make [| 5 |] in
+  for _ = 1 to 20 do
+    let target = Random.State.int rng total in
+    ignore (ok "goto" (Drdebug.Session.goto_step s ~target));
+    (* goto starts from the first rung at or below the target, or the
+       region start *)
+    let from =
+      match
+        List.find_opt
+          (fun c -> c.Dr_pinplay.Replayer.c_steps <= target)
+          s.Drdebug.Session.checkpoints
+      with
+      | Some c -> c.Dr_pinplay.Replayer.c_steps
+      | None -> 0
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "goto %d replays fewer than %d steps" target interval)
+      true
+      (target - from < interval);
+    let plain = Dr_pinplay.Replayer.create s.Drdebug.Session.prog pb in
+    ignore (Dr_pinplay.Replayer.resume ~max_steps:target plain);
+    Alcotest.(check bool)
+      (Printf.sprintf "goto %d state equals a plain replay" target)
+      true
+      (Dr_machine.Snapshot.capture (Option.get (Drdebug.Session.machine s))
+      = Dr_machine.Snapshot.capture (Dr_pinplay.Replayer.machine plain))
+  done
+
+let test_reverse_continue_windows () =
+  let s, total = recorded_session threads_src in
+  s.Drdebug.Session.checkpoint_interval <- 37;
+  let bp = ok "break" (Drdebug.Session.add_breakpoint_func s "bump") in
+  let pc = bp.Drdebug.Session.bp_pc in
+  let hits = forward_hits s ~pc in
+  Alcotest.(check int) "one hit per bump call" 24 (List.length hits);
+  ok "replay" (Drdebug.Session.start_replay s);
+  ignore (ok "to the end" (Drdebug.Session.continue_replay ~max_steps:total s));
+  let rng = Random.State.make [| 11 |] in
+  for _ = 1 to 40 do
+    let start = Random.State.int rng (total + 1) in
+    ignore (ok "goto" (Drdebug.Session.goto_step s ~target:start));
+    let expect = List.filter (fun (k, _, _) -> k < start) hits |> List.rev in
+    match (Drdebug.Session.reverse_continue s, expect) with
+    | Error _, [] -> ()
+    | Error e, _ -> Alcotest.failf "reverse-continue from %d failed: %s" start e
+    | Ok _, [] -> Alcotest.failf "reverse-continue from %d found a hit" start
+    | Ok stop, (k, tid, _) :: _ ->
+      let what = Printf.sprintf "reverse-continue from %d" start in
+      Alcotest.(check int) (what ^ ": step") k s.Drdebug.Session.replay_steps;
+      Alcotest.(check int) (what ^ ": tid") tid stop.Drdebug.Session.stop_tid;
+      Alcotest.(check int) (what ^ ": pc") pc stop.Drdebug.Session.stop_pc
+  done
+
 let test_goto_and_checkpoints () =
   let src = {|global int g;
 fn main() {
@@ -593,7 +682,10 @@ let () =
           Alcotest.test_case "reverse-continue over 4 threads" `Quick
             test_reverse_continue_threads;
           Alcotest.test_case "divergence is an error" `Quick
-            test_divergence_is_an_error ] );
+            test_divergence_is_an_error;
+          Alcotest.test_case "dense checkpoint ladder" `Quick test_dense_ladder;
+          Alcotest.test_case "reverse-continue equals a forward scan" `Quick
+            test_reverse_continue_windows ] );
       ( "robustness",
         [ Alcotest.test_case "error paths" `Quick test_error_paths;
           Alcotest.test_case "precision toggles" `Quick test_precision_toggles;

@@ -430,9 +430,9 @@ let test_snapshot_divergence_after_restore () =
   let m2 = Dr_machine.Snapshot.restore prog snap in
   (* the restored machine is fully independent: clobbering its memory
      must not leak into the original (capture/restore deep-copy) *)
-  m2.Dr_machine.Machine.mem.(0) <- m2.Dr_machine.Machine.mem.(0) + 1;
+  Dr_machine.Machine.store m2 0 (Dr_machine.Machine.load m2 0 + 1);
   Alcotest.(check bool) "restore does not alias original memory" true
-    (m.Dr_machine.Machine.mem.(0) <> m2.Dr_machine.Machine.mem.(0));
+    (Dr_machine.Machine.load m 0 <> Dr_machine.Machine.load m2 0);
   (* and a restored machine detects replay divergence exactly like a
      fresh one: a schedule naming a bogus tid is a structured error *)
   let m3 = Dr_machine.Snapshot.restore prog snap in
@@ -441,6 +441,129 @@ let test_snapshot_divergence_after_restore () =
     (fun () ->
       ignore
         (Dr_machine.Driver.run m3 (Dr_machine.Driver.Scripted [| (7, 1) |])))
+
+(* ---- paged copy-on-write memory ---- *)
+
+let test_store_after_capture () =
+  let prog = compile racy_src in
+  let m = Dr_machine.Machine.create prog in
+  ignore
+    (Dr_machine.Driver.run ~max_steps:20 m
+       (Dr_machine.Driver.Round_robin { quantum = 3 }));
+  let snap = Dr_machine.Snapshot.capture m in
+  let pages = Array.map Array.copy snap.Dr_machine.Snapshot.mem in
+  let size = Dr_machine.Machine.mem_size m in
+  (* a written data page, the main stack's page, and a zero page *)
+  let addrs = [ 0; size - 1; size / 2 ] in
+  List.iter
+    (fun a -> Dr_machine.Machine.store m a (Dr_machine.Machine.load m a + 7))
+    addrs;
+  Alcotest.(check bool) "snapshot memory unchanged" true
+    (snap.Dr_machine.Snapshot.mem = pages);
+  let m2 = Dr_machine.Snapshot.restore prog snap in
+  List.iter
+    (fun a ->
+      Alcotest.(check int)
+        (Printf.sprintf "store at %d visible in the machine only" a)
+        (Dr_machine.Machine.load m2 a + 7)
+        (Dr_machine.Machine.load m a))
+    addrs;
+  Alcotest.(check bool) "zero page untouched" true
+    (Array.for_all (( = ) 0) Dr_machine.Machine.zero_page)
+
+let test_restored_machines_independent () =
+  let prog = compile racy_src in
+  let m = Dr_machine.Machine.create prog in
+  ignore
+    (Dr_machine.Driver.run ~max_steps:20 m
+       (Dr_machine.Driver.Round_robin { quantum = 3 }));
+  let snap = Dr_machine.Snapshot.capture m in
+  let pages = Array.map Array.copy snap.Dr_machine.Snapshot.mem in
+  let m1 = Dr_machine.Snapshot.restore prog snap in
+  let m2 = Dr_machine.Snapshot.restore prog snap in
+  let a = Dr_machine.Machine.mem_size m - 1 and z = 4096 in
+  Dr_machine.Machine.store m1 a 111;
+  Dr_machine.Machine.store m1 z 5;
+  Dr_machine.Machine.store m2 a 222;
+  Alcotest.(check int) "first machine" 111 (Dr_machine.Machine.load m1 a);
+  Alcotest.(check int) "second machine" 222 (Dr_machine.Machine.load m2 a);
+  Alcotest.(check int) "zero page store stays private" 0
+    (Dr_machine.Machine.load m2 z);
+  Alcotest.(check bool) "snapshot memory unchanged" true
+    (snap.Dr_machine.Snapshot.mem = pages);
+  (* both run on to the same end as the original *)
+  let finish mm =
+    ignore
+      (Dr_machine.Driver.run mm (Dr_machine.Driver.Round_robin { quantum = 3 }));
+    Dr_machine.Machine.output_list mm
+  in
+  let m3 = Dr_machine.Snapshot.restore prog snap in
+  let m4 = Dr_machine.Snapshot.restore prog snap in
+  Alcotest.(check (list int)) "restored runs agree" (finish m) (finish m3);
+  Alcotest.(check (list int)) "and again" (finish m3) (finish m4)
+
+(* the memory part of an encoded snapshot, built word by word through
+   [Machine.load] *)
+let dense_memory_encoding m =
+  let open Dr_util.Codec in
+  let e = encoder () in
+  let size = Dr_machine.Machine.mem_size m in
+  put_uint e size;
+  let cells = ref [] in
+  for a = size - 1 downto 0 do
+    let v = Dr_machine.Machine.load m a in
+    if v <> 0 then cells := (a, v) :: !cells
+  done;
+  put_uint e (List.length !cells);
+  ignore
+    (List.fold_left
+       (fun last (a, v) ->
+         put_uint e (a - last);
+         put_int e v;
+         a)
+       0 !cells);
+  to_string e
+
+let encode_snapshot snap =
+  let e = Dr_util.Codec.encoder () in
+  Dr_machine.Snapshot.encode e snap;
+  Dr_util.Codec.to_string e
+
+(* batches of stores with a capture after each: every snapshot keeps
+   the sparse encoding of the memory it was taken of, and decodes back
+   to itself.  The memory size is not a page multiple, and stores of 0
+   leave allocated pages that hold only zeros. *)
+let prop_snapshot_encoding_dense =
+  let size = 5000 in
+  QCheck.Test.make ~name:"snapshot encoding equals a dense reference" ~count:40
+    QCheck.(
+      list_of_size (Gen.int_range 1 4)
+        (list_of_size (Gen.int_bound 30)
+           (pair (int_bound (size - 1)) (oneofl [ 0; 1; -3; 1 lsl 40 ]))))
+    (fun batches ->
+      let prog =
+        Dr_isa.Program.make ~name:"mem" ~mem_size:size ~stack_words:512
+          ~max_threads:4 ~entry:0 [ Halt ]
+      in
+      let m = Dr_machine.Machine.create prog in
+      let snaps =
+        List.map
+          (fun batch ->
+            List.iter (fun (a, v) -> Dr_machine.Machine.store m a v) batch;
+            let snap = Dr_machine.Snapshot.capture m in
+            (snap, dense_memory_encoding m))
+          batches
+      in
+      List.for_all
+        (fun (snap, dense) ->
+          let bytes = encode_snapshot snap in
+          let decoded =
+            Dr_machine.Snapshot.decode (Dr_util.Codec.decoder bytes)
+          in
+          String.length bytes >= String.length dense
+          && String.sub bytes 0 (String.length dense) = dense
+          && decoded = snap)
+        snaps)
 
 (* a multi-thread workload long enough that a mid-run snapshot lands
    while several threads are live and holding state *)
@@ -988,7 +1111,12 @@ let () =
           Alcotest.test_case "snapshot at step K = straight line" `Quick
             test_snapshot_at_step_k_matches_straight_line;
           Alcotest.test_case "snapshot under multi-thread schedule" `Quick
-            test_snapshot_multithread_schedule ] );
+            test_snapshot_multithread_schedule;
+          Alcotest.test_case "store after capture" `Quick
+            test_store_after_capture;
+          Alcotest.test_case "restored machines are independent" `Quick
+            test_restored_machines_independent;
+          QCheck_alcotest.to_alcotest prop_snapshot_encoding_dense ] );
       ( "def/use",
         [ Alcotest.test_case "load" `Quick test_def_use_load;
           Alcotest.test_case "push" `Quick test_def_use_push;

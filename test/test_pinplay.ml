@@ -400,18 +400,89 @@ fn main() {
 
 (* ---- checkpoints (reverse-debugging substrate) ---- *)
 
-let test_schedule_suffix () =
-  let sched = [| (0, 5); (1, 3); (0, 2) |] in
-  Alcotest.(check bool) "suffix 0" true
-    (Dr_pinplay.Replayer.schedule_suffix sched 0 = sched);
-  Alcotest.(check bool) "suffix 5" true
-    (Dr_pinplay.Replayer.schedule_suffix sched 5 = [| (1, 3); (0, 2) |]);
-  Alcotest.(check bool) "suffix mid-slice" true
-    (Dr_pinplay.Replayer.schedule_suffix sched 6 = [| (1, 2); (0, 2) |]);
-  Alcotest.(check bool) "suffix all" true
-    (Dr_pinplay.Replayer.schedule_suffix sched 10 = [||]);
-  Alcotest.(check bool) "suffix 2" true
-    (Dr_pinplay.Replayer.schedule_suffix sched 2 = [| (0, 3); (1, 3); (0, 2) |])
+(* instructions a schedule cursor has handed out: every entry before
+   [pos], plus the started part of entry [pos] *)
+let cursor_consumed sched { Dr_machine.Driver.pos; left } =
+  let n = ref 0 in
+  for i = 0 to pos - 1 do
+    n := !n + snd sched.(i)
+  done;
+  if left > 0 then !n + snd sched.(pos) - left else !n
+
+let test_schedule_cursor () =
+  let prog = compile racy_src in
+  let pb, _ = log_whole ~seed:13 racy_src in
+  let sched = pb.Dr_pinplay.Pinball.schedule in
+  let total = Dr_pinplay.Pinball.schedule_instructions pb in
+  Alcotest.(check bool) "schedule interleaves" true (Array.length sched > 2);
+  let cursor_at what r =
+    let c = Dr_pinplay.Replayer.checkpoint r in
+    Alcotest.(check int) what (Dr_pinplay.Replayer.steps r)
+      (cursor_consumed sched c.Dr_pinplay.Replayer.c_cursor)
+  in
+  for k = 0 to total do
+    let r = Dr_pinplay.Replayer.create prog pb in
+    ignore (Dr_pinplay.Replayer.resume ~max_steps:k r);
+    cursor_at (Printf.sprintf "cursor after %d steps" k) r
+  done;
+  (* a breakpoint before every instruction: each stop holds the picked
+     tid pending, and the cursor gives its slot back, including the last
+     slot of an entry *)
+  let r = Dr_pinplay.Replayer.create prog pb in
+  let rec sweep () =
+    match Dr_pinplay.Replayer.resume ~break_at:(fun ~tid:_ ~pc:_ -> true) r with
+    | Dr_machine.Driver.Breakpoint _ ->
+      cursor_at
+        (Printf.sprintf "cursor at the stop before step %d"
+           (Dr_pinplay.Replayer.steps r))
+        r;
+      (match Dr_pinplay.Replayer.resume ~max_steps:1 r with
+      | Dr_machine.Driver.Max_steps -> sweep ()
+      | _ -> ())
+    | _ -> ()
+  in
+  sweep ();
+  Alcotest.(check int) "sweep reached the end" total (Dr_pinplay.Replayer.steps r);
+  let c = Dr_pinplay.Replayer.checkpoint r in
+  Alcotest.check_raises "cursor past the schedule rejected"
+    (Invalid_argument "Replayer.create: checkpoint cursor outside the schedule")
+    (fun () ->
+      ignore
+        (Dr_pinplay.Replayer.create prog pb
+           ~from:
+             { c with
+               Dr_pinplay.Replayer.c_cursor =
+                 { Dr_machine.Driver.pos = Array.length sched; left = 1 } }))
+
+(* a checkpoint taken at a breakpoint stop, while the picked tid is
+   still pending, resumes to the same end as an uninterrupted replay *)
+let test_checkpoint_at_breakpoint_pending () =
+  let prog = compile racy_src in
+  let pb, _ = log_whole ~seed:13 racy_src in
+  let m_ref, reason_ref = Dr_pinplay.Replayer.replay prog pb in
+  let total = Dr_machine.Machine.total_icount m_ref in
+  let stops = ref 0 in
+  let r = Dr_pinplay.Replayer.create prog pb in
+  let rec sweep () =
+    match Dr_pinplay.Replayer.resume ~break_at:(fun ~tid ~pc:_ -> tid = 1) r with
+    | Dr_machine.Driver.Breakpoint _ ->
+      incr stops;
+      let ck = Dr_pinplay.Replayer.checkpoint r in
+      let r2 = Dr_pinplay.Replayer.create ~from:ck prog pb in
+      let reason = Dr_pinplay.Replayer.run r2 in
+      let m2 = Dr_pinplay.Replayer.machine r2 in
+      Alcotest.(check bool) "same stop reason" true (reason = reason_ref);
+      Alcotest.(check int) "same step count" total
+        (Dr_machine.Machine.total_icount m2);
+      Alcotest.(check bool) "same final state" true
+        (Dr_machine.Snapshot.capture m2 = Dr_machine.Snapshot.capture m_ref);
+      (match Dr_pinplay.Replayer.resume ~max_steps:1 r with
+      | Dr_machine.Driver.Max_steps -> sweep ()
+      | _ -> ())
+    | _ -> ()
+  in
+  sweep ();
+  Alcotest.(check bool) "the breakpoint fired" true (!stops > 0)
 
 let test_checkpoint_resume_equivalence () =
   (* resuming from a checkpoint produces the same continuation as the
@@ -534,7 +605,7 @@ fn main() {
       match ev with
       | Dr_pinplay.Pinball.Inject i ->
         List.iter
-          (fun (a, v) -> m.Dr_machine.Machine.mem.(a) <- v)
+          (fun (a, v) -> Dr_machine.Machine.store m a v)
           spb.Dr_pinplay.Pinball.injections.(i).Dr_pinplay.Pinball.inj_mem
       | _ -> ())
     spb.Dr_pinplay.Pinball.slice_events;
@@ -547,7 +618,7 @@ fn main() {
     | Some (_, a, _) -> a
     | None -> Alcotest.fail "no b"
   in
-  Alcotest.(check int) "injections restore b" 200 m.Dr_machine.Machine.mem.(b_addr)
+  Alcotest.(check int) "injections restore b" 200 (Dr_machine.Machine.load m b_addr)
 
 (* ---- relogger injection edge cases ----
 
@@ -577,7 +648,7 @@ let run_slice_replay prog spb =
 
 let globals_of prog (m : Dr_machine.Machine.t) =
   List.map
-    (fun (n, addr, _) -> (n, m.Dr_machine.Machine.mem.(addr)))
+    (fun (n, addr, _) -> (n, Dr_machine.Machine.load m addr))
     prog.Dr_isa.Program.debug.Dr_isa.Debug_info.globals
 
 let test_relog_region_at_trace_start () =
@@ -741,7 +812,9 @@ let () =
             test_relog_two_adjacent_regions;
           Alcotest.test_case "empty region" `Quick test_relog_empty_region ] );
       ( "checkpoints",
-        [ Alcotest.test_case "schedule suffix" `Quick test_schedule_suffix;
+        [ Alcotest.test_case "schedule cursor" `Quick test_schedule_cursor;
+          Alcotest.test_case "checkpoint at a pending breakpoint" `Quick
+            test_checkpoint_at_breakpoint_pending;
           Alcotest.test_case "resume equivalence" `Quick
             test_checkpoint_resume_equivalence;
           QCheck_alcotest.to_alcotest prop_checkpoint_any_position;
